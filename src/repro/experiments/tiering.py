@@ -103,7 +103,7 @@ def _sweep_point(
     summary = platform.summarize(benchmark, load, window=duration)
     breakdown = platform.latency_breakdown()
     fastswap = platform.fastswap
-    tier_stats = getattr(fastswap, "tier_stats", None)
+    tier_stats = fastswap.tier_stats
     return {
         "system": system,
         "near_share": "-" if share is None else share,
@@ -115,7 +115,7 @@ def _sweep_point(
         "remote_avg_mib": round(summary.remote_avg_mib, 1),
         "near_resident_pk": (
             0
-            if tier_stats is None or 1 not in tier_stats
+            if tier_stats is None
             else tier_stats[1].placed + tier_stats[1].demoted_in
         ),
         "spills": (
@@ -123,7 +123,7 @@ def _sweep_point(
             if tier_stats is None
             else sum(ledger.spills for ledger in tier_stats.values())
         ),
-        "demotions": getattr(fastswap, "demotions", 0),
+        "demotions": fastswap.demotions,
         "violations": len(platform.auditor.violations),
     }
 

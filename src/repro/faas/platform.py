@@ -22,8 +22,8 @@ from repro.obs.audit import InvariantAuditor
 from repro.obs.trace import Tracer
 from repro.pool.bandwidth import BandwidthMonitor
 from repro.pool.fastswap import Fastswap
-from repro.pool.link import Link, LinkConfig, LinkDirection
-from repro.pool.remote_pool import RemotePool
+from repro.pool.link import LinkConfig, LinkDirection
+from repro.pool.tier import TieredPool, TierTopology
 from repro.sim.engine import Engine
 from repro.sim.randomness import RandomStreams
 from repro.units import MINUTE
@@ -80,12 +80,9 @@ class PlatformConfig:
     # constructed and every hook stays on its zero-cost
     # ``governor is None`` path.
     pressure: Optional[object] = None
-    # Pool hierarchy (repro.tier): a TierTopology. None falls back to
-    # the process-wide default installed via repro.tier.runtime; with
-    # neither set the platform builds today's flat single-node pool.
-    # A degenerate one-tier/one-shard topology is provably equivalent
-    # to the flat pool (byte-identical trace digests).
-    tiers: Optional[object] = None
+    # Pool hierarchy below node DRAM. None is TierTopology.flat(): the
+    # paper's single pool node behind one link.
+    tiers: Optional[TierTopology] = None
 
 
 @dataclass
@@ -149,35 +146,14 @@ class ServerlessPlatform:
             capacity_mib=self.config.node_capacity_mib,
             strict=self.config.strict_node_capacity,
         )
-        # Pool topology: an explicit config value wins over the
-        # process-wide default (lazy imports, like faults/pressure).
-        tiers = self.config.tiers
-        if tiers is None:
-            from repro.tier import runtime as tier_runtime
-
-            tiers = tier_runtime.default_tiers()
-        if tiers is not None:
-            from repro.pool.tier import TieredPool
-            from repro.tier.datapath import TieredFastswap
-
-            self.pool = TieredPool(
-                clock=lambda: self.engine.now,
-                topology=tiers,
-                default_capacity_mib=self.config.pool_capacity_mib,
-                default_link=self.config.link,
-            )
-            self.fastswap = TieredFastswap(self.engine, self.pool)
-            # The representative link (nearest tier, shard 0): what
-            # the bandwidth monitor throttles against and what
-            # single-link call sites observe.
-            self.link = self.fastswap.link
-        else:
-            self.pool = RemotePool(
-                clock=lambda: self.engine.now,
-                capacity_mib=self.config.pool_capacity_mib,
-            )
-            self.link = Link(self.config.link)
-            self.fastswap = Fastswap(self.engine, self.link, self.pool)
+        self.pool = TieredPool(
+            clock=lambda: self.engine.now,
+            topology=self.config.tiers or TierTopology.flat(),
+            default_capacity_mib=self.config.pool_capacity_mib,
+            default_link=self.config.link,
+        )
+        self.fastswap = Fastswap(self.engine, self.pool)
+        self.link = self.fastswap.link
         if tracer is not None:
             for link in self.fastswap.links():
                 link.tracer = tracer

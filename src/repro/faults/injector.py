@@ -242,11 +242,10 @@ class FaultInjector:
         platform = self.platform
         fastswap = platform.fastswap
         self.stats.pool_crashes += 1
-        # One pool *node* crashes. The flat pool is a single crash
-        # domain; a tiered pool exposes one domain per shard and a
-        # deterministic draw picks the victim. The single-domain case
-        # draws nothing, so flat runs with the same schedule are
-        # unperturbed.
+        # One pool *node* crashes. Every shard is a crash domain and a
+        # deterministic draw picks the victim. The flat pool's single
+        # domain draws nothing, so flat runs with the same schedule
+        # are unperturbed.
         domains = fastswap.crash_domains()
         domain = domains[0]
         if len(domains) > 1:

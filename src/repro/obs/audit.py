@@ -90,7 +90,7 @@ class _SwapLedger:
 
 @dataclass
 class _TierLedger:
-    """Cumulative page flow through one pool tier (repro.tier).
+    """Cumulative page flow through one pool tier (repro.pool.tier).
 
     The per-tier conservation law generalises the flat swap identity:
     pages placed into (or demoted into) a tier leave it only by
@@ -140,8 +140,8 @@ class InvariantAuditor:
         # direct reclaim.
         self._governor_tier = 0
         self._direct_reclaim_failed = False
-        # Pool-tier conservation (repro.tier): level -> ledger. Stays
-        # empty unless tier.* events appear (hierarchical runs only).
+        # Pool-tier conservation: level -> ledger. Stays empty unless
+        # tier.* events appear (hierarchical runs only).
         self._tier_ledgers: Dict[int, _TierLedger] = {}
         self._finalized = False
 
@@ -324,7 +324,7 @@ class InvariantAuditor:
             f"remote_lost={self.swap.remote_lost}",
         )
 
-    # -- pool-tier conservation (repro.tier) ----------------------------
+    # -- pool-tier conservation ------------------------------------------
 
     def _tier_ledger(self, event: TraceEvent, key: str = "tier") -> _TierLedger:
         return self._tier_ledgers.setdefault(int(event.data[key]), _TierLedger())
@@ -558,13 +558,13 @@ class InvariantAuditor:
             f"SwapStats.remote_lost_pages={stats.remote_lost_pages} disagrees "
             f"with pool-dropped pages {platform.pool.lost_pages}",
         )
-        # Per-tier conservation (repro.tier): the ledger balance of
-        # each tier must equal its shard pools' summed usage, and the
-        # tier residents must sum to the flat remote-resident balance.
-        pool_tiers = getattr(platform.pool, "tiers", None)
-        if pool_tiers is not None and not getattr(platform.pool, "degenerate", True):
+        # Per-tier conservation: the ledger balance of each tier must
+        # equal its shard pools' summed usage, and the tier residents
+        # must sum to the flat remote-resident balance. The one-tier
+        # pool emits no tier.* events, so it has no ledgers to check.
+        if not platform.pool.degenerate:
             total_resident = 0
-            for tier in pool_tiers:
+            for tier in platform.pool.tiers:
                 ledger = self._tier_ledgers.setdefault(tier.level, _TierLedger())
                 shard_used = sum(s.pool.used_pages for s in tier.shards)
                 shard_lost = sum(s.pool.lost_pages for s in tier.shards)

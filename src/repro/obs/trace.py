@@ -69,10 +69,9 @@ class EventKind(str, enum.Enum):
     BREAKER_HALF_OPEN = "breaker.half_open"
     BREAKER_CLOSE = "breaker.close"
 
-    # Tiered pool hierarchy (repro.tier). Only emitted for genuinely
-    # hierarchical topologies: the degenerate one-tier/one-shard
-    # configuration emits none of these, keeping its trace stream
-    # byte-identical to the flat pool's.
+    # Tiered pool hierarchy (repro.pool.tier). Only emitted for
+    # genuinely hierarchical topologies: the one-tier/one-shard flat
+    # pool emits none of these.
     TIER_PLACE = "tier.place"
     TIER_RECALL = "tier.recall"
     TIER_FREE = "tier.free"

@@ -17,12 +17,11 @@ differential test can assert that serial and parallel execution
 produce byte-identical per-point streams and identical merged rows.
 
 Process-wide runtime switches (``repro.obs`` tracing/auditing, the
-``repro.faults`` / ``repro.pressure`` / ``repro.tier`` defaults the
-CLI installs) are snapshotted in the parent and re-installed in every
-worker, and each worker's observability sessions are shipped back and
-adopted into the parent registry in grid order — so ``repro run fig12
---audit --jobs 4`` reports the same digests and violations as a
-serial run.
+``repro.faults`` / ``repro.pressure`` defaults the CLI installs) are
+snapshotted in the parent and re-installed in every worker, and each
+worker's observability sessions are shipped back and adopted into the
+parent registry in grid order — so ``repro run fig12 --audit --jobs
+4`` reports the same digests and violations as a serial run.
 """
 
 from __future__ import annotations
@@ -122,7 +121,6 @@ def _capture_runtime_state() -> Dict[str, Any]:
     from repro.faults import runtime as faults_runtime
     from repro.obs import runtime as obs_runtime
     from repro.pressure import runtime as pressure_runtime
-    from repro.tier import runtime as tier_runtime
 
     return {
         "trace": obs_runtime.trace_enabled(),
@@ -130,7 +128,6 @@ def _capture_runtime_state() -> Dict[str, Any]:
         "capacity": obs_runtime.trace_capacity(),
         "faults": faults_runtime.default_faults(),
         "pressure": pressure_runtime.default_pressure(),
-        "tiers": tier_runtime.default_tiers(),
     }
 
 
@@ -139,7 +136,6 @@ def _worker_init(state: Dict[str, Any]) -> None:
     from repro.faults import runtime as faults_runtime
     from repro.obs import runtime as obs_runtime
     from repro.pressure import runtime as pressure_runtime
-    from repro.tier import runtime as tier_runtime
 
     obs_runtime.reset_sessions()
     if state["trace"] or state["audit"]:
@@ -156,10 +152,6 @@ def _worker_init(state: Dict[str, Any]) -> None:
         pressure_runtime.install(state["pressure"])
     else:
         pressure_runtime.clear()
-    if state["tiers"] is not None:
-        tier_runtime.install(state["tiers"])
-    else:
-        tier_runtime.clear()
 
 
 def _snapshot_sessions(sessions: List[Any]) -> List[SessionSnapshot]:

@@ -4,13 +4,15 @@ Fastswap-style swap datapath.
 The paper runs Fastswap over 56 Gbps InfiniBand between one compute
 node and one memory node. Here the interconnect is a full-duplex pipe
 with per-page fault overhead plus bandwidth-limited transfer time, and
-the pool is a capacity-tracked page store. Policies only ever observe
+the pool is a capacity-tracked page store. That flat pool is the
+one-tier case of a :class:`TieredPool`, which can also model a
+sharded CXL-near + RDMA-far hierarchy. Policies only ever observe
 fault latency and bandwidth occupancy, which this model reproduces.
 """
 
 from repro.pool.link import Link, LinkDirection
 from repro.pool.remote_pool import RemotePool
-from repro.pool.fastswap import Fastswap, FastswapConfig, SwapStats
+from repro.pool.fastswap import Fastswap, FastswapConfig, SwapStats, TierLedger
 from repro.pool.bandwidth import BandwidthMonitor
 from repro.pool.tier import PoolShard, Tier, TieredPool, TierSpec, TierTopology
 
@@ -21,6 +23,7 @@ __all__ = [
     "Fastswap",
     "FastswapConfig",
     "SwapStats",
+    "TierLedger",
     "BandwidthMonitor",
     "PoolShard",
     "Tier",

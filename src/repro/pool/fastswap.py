@@ -9,6 +9,29 @@ Mirrors the two paths the paper ports onto Linux 6.1 (§7):
 * **page-in** (:meth:`Fastswap.fault`) — synchronous: a request that
   touches remote pages stalls for the queueing + transfer time, which
   the caller adds to its service time.
+
+The pool is a :class:`~repro.pool.tier.TieredPool`. The paper's one
+RDMA node behind one link is its shallowest case,
+:meth:`TierTopology.flat() <repro.pool.tier.TierTopology.flat>`.
+Deeper hierarchies route each region to a (tier, shard) pair:
+
+* **Tier selection** — offloads target the nearest tier by default;
+  pages whose last access is older than the topology's
+  ``far_direct_age_s`` go straight to the bottom tier (temperature),
+  and policies can force a tier with ``tier_hint`` ("near"/"far").
+* **Spill** — a tier whose stripe shard is full (counting in-flight
+  write-outs) spills the page one tier down, emitting one
+  ``tier.spill`` event per single-level step so the auditor can check
+  legality.
+* **Promotion** — a page-in recalls the page from whichever tier holds
+  it directly into local DRAM.
+* **Demotion** — a background daemon migrates pages resident in a
+  non-bottom tier for longer than ``demote_after_s`` one tier down,
+  a bounded batch per tick, oldest first.
+
+A one-tier/one-shard pool keeps no per-tier ledgers
+(``tier_stats is None``), emits no ``tier.*`` events and never arms
+the daemon, so its trace is the flat single-node pool's.
 """
 
 from __future__ import annotations
@@ -21,9 +44,10 @@ from repro.mem.cgroup import Cgroup
 from repro.mem.page import PageRegion
 from repro.obs.trace import EventKind
 from repro.pool.link import Link, LinkDirection
-from repro.pool.remote_pool import RemotePool
+from repro.pool.tier import TieredPool
 from repro.sim.engine import Engine
-from repro.units import PAGE_SIZE, MIB
+from repro.sim.process import PeriodicTask
+from repro.units import PAGE_SIZE, MIB, pages_from_mib
 
 
 @dataclass
@@ -105,19 +129,65 @@ class SwapStats:
             )
 
 
+@dataclass
+class TierLedger:
+    """Cumulative page flow through one tier (audited per level).
+
+    The per-tier conservation identity generalises the flat swap law::
+
+        placed + demoted_in == recalled + freed + lost + demoted_out
+                               + resident (== shard pool usage summed)
+    """
+
+    placed: int = 0
+    demoted_in: int = 0
+    recalled: int = 0
+    freed: int = 0
+    lost: int = 0
+    demoted_out: int = 0
+    spills: int = 0
+
+    @property
+    def resident(self) -> int:
+        return (
+            self.placed
+            + self.demoted_in
+            - self.recalled
+            - self.freed
+            - self.lost
+            - self.demoted_out
+        )
+
+
+class _Residence:
+    """Where one remote region's pages live right now."""
+
+    __slots__ = ("tier_index", "shard_index", "region", "placed_at")
+
+    def __init__(
+        self, tier_index: int, shard_index: int, region: PageRegion, placed_at: float
+    ) -> None:
+        self.tier_index = tier_index
+        self.shard_index = shard_index
+        self.region = region
+        self.placed_at = placed_at
+
+
 class Fastswap:
     """The swap datapath shared by every policy in the library."""
 
     def __init__(
         self,
         engine: Engine,
-        link: Link,
-        pool: RemotePool,
+        pool: TieredPool,
         config: Optional[FastswapConfig] = None,
     ) -> None:
         self.engine = engine
-        self.link = link
         self.pool = pool
+        # The representative link (nearest tier, shard 0): what the
+        # bandwidth monitor throttles against and what single-link
+        # call sites observe.
+        self.link = pool.tiers[0].shards[0].link
         self.config = config or FastswapConfig()
         self.stats = SwapStats()
         self._per_cgroup_offloaded: Dict[str, int] = {}
@@ -133,6 +203,21 @@ class Fastswap:
         # ``remote_lost_pages``, so later frees/recalls must not
         # release or transfer them again.
         self._lost_region_ids: set = set()
+        self._bottom = len(pool.tiers) - 1
+        # region_id -> (tier_index, shard_index, pending_pages) chosen
+        # at issue time; moved to _residence when the write-out lands.
+        self._routes: Dict[int, tuple] = {}
+        self._residence: Dict[int, _Residence] = {}
+        # Per-tier ledgers, keyed by level. The one-tier/one-shard pool
+        # is the flat pool: it keeps none (the tiering experiment's flat
+        # row reports no near-tier pages) and emits no tier.* events.
+        self.tier_stats: Optional[Dict[int, TierLedger]] = (
+            None
+            if pool.degenerate
+            else {tier.level: TierLedger() for tier in pool.tiers}
+        )
+        self.demotions = 0
+        self._daemon: Optional[PeriodicTask] = None
 
     def attach(self, cgroup: Cgroup) -> None:
         """Wire a cgroup so freeing remote regions releases pool pages."""
@@ -143,69 +228,18 @@ class Fastswap:
         """Every cgroup ever attached (pool-crash loss enumeration)."""
         return list(self._cgroups)
 
-    # ------------------------------------------------------------------
-    # Routing seams
-    # ------------------------------------------------------------------
-    # The flat datapath has exactly one link and one pool, so every
-    # seam below is a trivial constant. repro.tier.TieredFastswap
-    # overrides them to route each region to a (tier, shard) pair —
-    # nothing else in this class changes, which is what makes the
-    # one-tier/one-shard configuration provably equivalent to the flat
-    # pool.
-
     def links(self) -> List[Link]:
         """Every link the datapath may transfer over."""
-        return [self.link]
+        return self.pool.links()
 
-    def _route_offload(self, region: PageRegion, tier_hint: Optional[str] = None) -> Link:
-        """Pick the link a write-out of ``region`` travels over."""
-        return self.link
-
-    def _can_store(self, region: PageRegion) -> bool:
-        """Whether the pool backing ``region``'s route can take it now."""
-        return region.pages <= self.pool.free_pages
-
-    def _store(self, cgroup: Cgroup, region: PageRegion) -> None:
-        """Account a completed write-out in the routed pool."""
-        self.pool.store(region.pages)
-
-    def _discard_route(self, region: PageRegion, reason: str) -> None:
-        """An issued write-out aborted; forget any routing state."""
-
-    def _fault_link(self, region: PageRegion) -> Link:
-        """The link a page-in of ``region`` travels over."""
-        return self.link
-
-    def _release_recalled(self, cgroup: Cgroup, region: PageRegion) -> None:
-        """Account a recalled region leaving the pool."""
-        self.pool.release(region.pages)
-
-    def _release_freed(self, region: PageRegion) -> None:
-        """Account a freed-while-remote region leaving the pool."""
-        self.pool.release(region.pages)
-
-    def _note_lost(self, cgroup: Cgroup, region: PageRegion) -> None:
-        """A region's pool pages were destroyed by a node crash."""
-
-    # Pool-crash domains (repro.faults): the flat pool is one crash
-    # domain; the tiered pool exposes one per shard so the injector can
-    # fail a single pool node.
-
-    def crash_domains(self) -> List[object]:
-        """Independent pool-node failure domains."""
-        return [None]
-
-    def regions_in_domain(self, cgroup: Cgroup, domain: object) -> List[PageRegion]:
-        """Live remote regions of ``cgroup`` resident in ``domain``."""
-        return [r for r in cgroup.remote_regions() if not r.freed]
-
-    def drop_pool(self, domain: object, pages: int) -> None:
-        """Destroy ``pages`` pages in the crashed domain's pool."""
-        self.pool.drop(pages)
-
-    def domain_pool_name(self, domain: object) -> str:
-        """Display name of the crashed pool node."""
-        return self.pool.name
+    def resident_regions(self, tier_index: int, shard_index: int) -> List[PageRegion]:
+        """Regions currently resident on one shard (tests/debugging)."""
+        return [
+            placement.region
+            for placement in self._residence.values()
+            if placement.tier_index == tier_index
+            and placement.shard_index == shard_index
+        ]
 
     @property
     def suspended(self) -> bool:
@@ -219,6 +253,124 @@ class Fastswap:
         if self.injector is None:
             return False
         return (not self.link.up) or (not self.injector.breaker.allow(self.engine.now))
+
+    # ------------------------------------------------------------------
+    # Routing
+    # ------------------------------------------------------------------
+
+    def _target_tier_index(
+        self, region: PageRegion, tier_hint: Optional[str]
+    ) -> int:
+        if tier_hint == "far":
+            return self._bottom
+        if tier_hint == "near":
+            return 0
+        age_bar = self.pool.topology.far_direct_age_s
+        if age_bar is not None and region.last_access is not None:
+            if self.engine.now - region.last_access >= age_bar:
+                # Page temperature: long-cold pages skip the near tier.
+                return self._bottom
+        return 0
+
+    def _route(self, region: PageRegion, tier_hint: Optional[str] = None) -> tuple:
+        """The (tier, shard, pending pages) a write-out of ``region`` targets."""
+        route = self._routes.get(region.region_id)
+        if route is not None:
+            return route
+        tiers = self.pool.tiers
+        tier_index = self._target_tier_index(region, tier_hint)
+        while tier_index < self._bottom:
+            tier = tiers[tier_index]
+            shard = tier.shards[tier.shard_for(region.region_id)]
+            if shard.room_for(region.pages):
+                break
+            # Tier pressure: the stripe shard is full (counting
+            # in-flight write-outs), so the page spills one tier down.
+            self.tier_stats[tier.level].spills += 1
+            if self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.TIER_SPILL,
+                    region.name,
+                    from_tier=tier.level,
+                    to_tier=tier.level + 1,
+                    region=region.region_id,
+                    pages=region.pages,
+                )
+            tier_index += 1
+        tier = tiers[tier_index]
+        shard_index = tier.shard_for(region.region_id)
+        route = (tier_index, shard_index, region.pages)
+        self._routes[region.region_id] = route
+        tier.shards[shard_index].pending_pages += region.pages
+        return route
+
+    def _unroute(self, region: PageRegion) -> Optional[Tuple[int, int]]:
+        """Forget ``region``'s issue-time route; return its (tier, shard)."""
+        route = self._routes.pop(region.region_id, None)
+        if route is None:
+            return None
+        tier_index, shard_index, pending = route
+        shard = self.pool.shard(tier_index, shard_index)
+        shard.pending_pages = max(0, shard.pending_pages - pending)
+        return tier_index, shard_index
+
+    def _account(
+        self,
+        field: str,
+        kind: EventKind,
+        subject: str,
+        placement: _Residence,
+        region: PageRegion,
+    ) -> None:
+        """Add ``region``'s pages to one tier ledger; emit its tier.* event."""
+        if self.tier_stats is None:
+            return
+        level = self.pool.tiers[placement.tier_index].level
+        ledger = self.tier_stats[level]
+        setattr(ledger, field, getattr(ledger, field) + region.pages)
+        if self.tracer is not None:
+            self.tracer.emit(
+                kind,
+                subject,
+                tier=level,
+                shard=placement.shard_index,
+                region=region.region_id,
+                pages=region.pages,
+            )
+
+    # Pool-crash domains (repro.faults): one per (tier, shard) pool
+    # node, so the injector can fail a single node.
+
+    def crash_domains(self) -> List[Tuple[int, int]]:
+        """Independent pool-node failure domains."""
+        return [
+            (tier_index, shard_index)
+            for tier_index, tier in enumerate(self.pool.tiers)
+            for shard_index in range(len(tier.shards))
+        ]
+
+    def regions_in_domain(
+        self, cgroup: Cgroup, domain: Tuple[int, int]
+    ) -> List[PageRegion]:
+        """Live remote regions of ``cgroup`` resident in ``domain``."""
+        out = []
+        for region in cgroup.remote_regions():
+            placement = self._residence.get(region.region_id)
+            if (
+                not region.freed
+                and placement is not None
+                and (placement.tier_index, placement.shard_index) == domain
+            ):
+                out.append(region)
+        return out
+
+    def drop_pool(self, domain: Tuple[int, int], pages: int) -> None:
+        """Destroy ``pages`` pages in the crashed domain's pool."""
+        self.pool.drop_at(*domain, pages)
+
+    def domain_pool_name(self, domain: Tuple[int, int]) -> str:
+        """Display name of the crashed pool node."""
+        return self.pool.shard(*domain).pool.name
 
     # ------------------------------------------------------------------
     # Page-out
@@ -235,8 +387,8 @@ class Fastswap:
         Returns the completion time of the last write-out. Regions that
         get touched before their write-out completes are skipped
         (abort), matching kernel swap semantics. ``tier_hint``
-        ("near"/"far") lets policies steer the tiered datapath; the
-        flat pool ignores it.
+        ("near"/"far") lets policies steer a tiered pool; a one-tier
+        pool ignores it.
         """
         completion = self.engine.now
         if self.suspended:
@@ -260,8 +412,8 @@ class Fastswap:
                 continue
             issue_access_count = region.access_count
             issue_pages = region.pages
-            link = self._route_offload(region, tier_hint)
-            _, completion = link.transfer(
+            tier_index, shard_index, _ = self._route(region, tier_hint)
+            _, completion = self.pool.shard(tier_index, shard_index).link.transfer(
                 self.engine.now, issue_pages, LinkDirection.OUT
             )
             self.engine.schedule_at(
@@ -302,13 +454,15 @@ class Fastswap:
             # longer matches the region. Abort rather than account
             # pages that were never transferred.
             reason = "resized"
-        elif not self._can_store(region):
-            # The pool filled up while the write-out was in flight:
-            # the store bounces and the pages stay local, like a
-            # swap-out failing against a full swap device.
-            reason = "pool-full"
+        else:
+            tier_index, shard_index, _ = self._route(region)
+            if region.pages > self.pool.shard(tier_index, shard_index).pool.free_pages:
+                # The shard filled up while the write-out was in
+                # flight: the store bounces and the pages stay local,
+                # like a swap-out failing against a full swap device.
+                reason = "pool-full"
         if reason:
-            self._discard_route(region, reason)
+            self._unroute(region)
             self.stats.aborted_offloads += 1
             if self.tracer is not None:
                 self.tracer.emit(
@@ -319,7 +473,17 @@ class Fastswap:
                     reason=reason,
                 )
             return
-        self._store(cgroup, region)
+        self._land(cgroup, region)
+
+    def _land(self, cgroup: Cgroup, region: PageRegion) -> None:
+        """Account a finished write-out in its routed shard."""
+        tier_index, shard_index = self._unroute(region)
+        self.pool.store_at(tier_index, shard_index, region.pages)
+        placement = _Residence(tier_index, shard_index, region, self.engine.now)
+        self._residence[region.region_id] = placement
+        self._account("placed", EventKind.TIER_PLACE, cgroup.name, placement, region)
+        if tier_index < self._bottom:
+            self._kick_daemon()
         cgroup.mark_offloaded(region)
         self.stats.offloaded_pages += region.pages
         self._per_cgroup_offloaded[cgroup.name] = (
@@ -355,13 +519,14 @@ class Fastswap:
         for region in regions:
             if region.freed or region.is_remote:
                 continue
-            link = self._route_offload(region, tier_hint)
-            if not self._can_store(region):
-                # Full pool: skip, like a swap-out bouncing off a full
+            tier_index, shard_index, _ = self._route(region, tier_hint)
+            shard = self.pool.shard(tier_index, shard_index)
+            if region.pages > shard.pool.free_pages:
+                # Full shard: skip, like a swap-out bouncing off a full
                 # swap device. The governor falls through to OOM.
-                self._discard_route(region, "pool-full")
+                self._unroute(region)
                 continue
-            _, completion = link.transfer(
+            _, completion = shard.link.transfer(
                 self.engine.now, region.pages, LinkDirection.OUT
             )
             self.stats.offload_ops += 1
@@ -372,20 +537,8 @@ class Fastswap:
                     region=region.region_id,
                     pages=region.pages,
                 )
-            self._store(cgroup, region)
-            cgroup.mark_offloaded(region)
-            self.stats.offloaded_pages += region.pages
-            self._per_cgroup_offloaded[cgroup.name] = (
-                self._per_cgroup_offloaded.get(cgroup.name, 0) + region.pages
-            )
+            self._land(cgroup, region)
             moved.append(region)
-            if self.tracer is not None:
-                self.tracer.emit(
-                    EventKind.OFFLOAD_COMPLETE,
-                    cgroup.name,
-                    region=region.region_id,
-                    pages=region.pages,
-                )
         return moved, completion
 
     # ------------------------------------------------------------------
@@ -431,10 +584,17 @@ class Fastswap:
                 self._lost_region_ids.discard(region.region_id)
                 cgroup.mark_fetched(region)
                 continue
-            _, completion = self._fault_link(region).transfer(
-                issue_at, region.pages, LinkDirection.IN
+            placement = self._residence.pop(region.region_id)
+            _, completion = self.pool.shard(
+                placement.tier_index, placement.shard_index
+            ).link.transfer(issue_at, region.pages, LinkDirection.IN)
+            self.pool.release_at(
+                placement.tier_index, placement.shard_index, region.pages
             )
-            self._release_recalled(cgroup, region)
+            self._account(
+                "recalled", EventKind.TIER_RECALL, cgroup.name, placement, region
+            )
+            self._kick_daemon()
             cgroup.mark_fetched(region)
             total_pages += region.pages
             self.stats.fault_ops += 1
@@ -468,7 +628,12 @@ class Fastswap:
             # there is nothing left to release.
             self._lost_region_ids.discard(region.region_id)
             return
-        self._release_freed(region)
+        placement = self._residence.pop(region.region_id)
+        self.pool.release_at(
+            placement.tier_index, placement.shard_index, region.pages
+        )
+        self._account("freed", EventKind.TIER_FREE, region.name, placement, region)
+        self._kick_daemon()
         self.stats.remote_freed_pages += region.pages
         if self.tracer is not None:
             self.tracer.emit(
@@ -504,7 +669,9 @@ class Fastswap:
                     region=region.region_id,
                     pages=region.pages,
                 )
-            self._note_lost(cgroup, region)
+            placement = self._residence.pop(region.region_id, None)
+            if placement is not None:
+                self._account("lost", EventKind.TIER_LOST, cgroup.name, placement, region)
         return total
 
     def offloaded_pages_of(self, cgroup_name: str) -> int:
@@ -512,3 +679,92 @@ class Fastswap:
 
     def recalled_pages_of(self, cgroup_name: str) -> int:
         return self._per_cgroup_recalled.get(cgroup_name, 0)
+
+    # ------------------------------------------------------------------
+    # Background demotion daemon
+    # ------------------------------------------------------------------
+
+    def _kick_daemon(self) -> None:
+        """(Re)arm the demotion ticker if there is anything to demote.
+
+        Re-kicked on recalls/frees too: those open room in lower tiers
+        that may unblock a previously-stuck demotion.
+        """
+        if self._bottom == 0 or self._daemon is not None:
+            return
+        if any(p.tier_index < self._bottom for p in self._residence.values()):
+            self._daemon = PeriodicTask(
+                self.engine,
+                self.pool.topology.demote_tick_s,
+                self._demote_tick,
+                name="tier:demote",
+            )
+
+    def _stop_daemon(self) -> None:
+        if self._daemon is not None:
+            self._daemon.stop()
+            self._daemon = None
+
+    def _demote_tick(self) -> None:
+        now = self.engine.now
+        topology = self.pool.topology
+        upper = [
+            p for p in self._residence.values() if p.tier_index < self._bottom
+        ]
+        if not upper:
+            self._stop_daemon()
+            return
+        if self.suspended:
+            # Interconnect outage / open breaker: pause, keep ticking.
+            return
+        ripe = sorted(
+            (p for p in upper if now - p.placed_at >= topology.demote_after_s),
+            key=lambda p: (p.placed_at, p.region.region_id),
+        )
+        budget = pages_from_mib(topology.demote_batch_mib)
+        progressed = False
+        for placement in ripe:
+            if budget <= 0:
+                break
+            region = placement.region
+            pages = region.pages
+            dst_tier_index = placement.tier_index + 1
+            dst_tier = self.pool.tiers[dst_tier_index]
+            dst_shard_index = dst_tier.shard_for(region.region_id)
+            dst_shard = dst_tier.shards[dst_shard_index]
+            if not dst_shard.room_for(pages):
+                # Destination full: the page stays put; a later recall
+                # or free below re-kicks the daemon.
+                continue
+            src_level = self.pool.tiers[placement.tier_index].level
+            dst_shard.link.transfer(now, pages, LinkDirection.OUT)
+            self.pool.migrate(
+                (placement.tier_index, placement.shard_index),
+                (dst_tier_index, dst_shard_index),
+                pages,
+            )
+            self.tier_stats[src_level].demoted_out += pages
+            self.tier_stats[dst_tier.level].demoted_in += pages
+            self.demotions += 1
+            if self.tracer is not None:
+                self.tracer.emit(
+                    EventKind.TIER_DEMOTE,
+                    region.name,
+                    from_tier=src_level,
+                    to_tier=dst_tier.level,
+                    shard=dst_shard_index,
+                    region=region.region_id,
+                    pages=pages,
+                )
+            placement.tier_index = dst_tier_index
+            placement.shard_index = dst_shard_index
+            placement.placed_at = now
+            budget -= pages
+            progressed = True
+        if not progressed and all(
+            now - p.placed_at >= topology.demote_after_s for p in upper
+        ):
+            # Every upper-tier page is ripe but blocked on full lower
+            # tiers; ticking again changes nothing. Recalls and frees
+            # re-kick the daemon when room opens up.
+            self._stop_daemon()

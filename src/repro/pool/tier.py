@@ -1,4 +1,4 @@
-"""Hierarchical, sharded memory pool: the ``repro.tier`` data plane.
+"""Hierarchical, sharded memory pool: the swap datapath's data plane.
 
 The paper's memory pool is one flat RDMA node; its §9 discussion (and
 the memory-pool architectures it targets) assume richer topologies. A
@@ -15,7 +15,7 @@ and every shard owns its own capacity-tracked
 as a single ``RemotePool`` (``used_pages``, ``peak_pages``,
 ``average_mib`` …) so platform summaries and the invariant auditor
 work unchanged. The routing logic lives in
-:class:`repro.tier.TieredFastswap`.
+:class:`repro.pool.fastswap.Fastswap`.
 """
 
 from __future__ import annotations
@@ -264,7 +264,7 @@ class TieredPool:
         return [shard.link for shard in self.all_shards()]
 
     # ------------------------------------------------------------------
-    # Page accounting (called by TieredFastswap)
+    # Page accounting (called by Fastswap)
     # ------------------------------------------------------------------
 
     def store_at(self, tier_index: int, shard_index: int, pages: int) -> None:
@@ -320,4 +320,4 @@ class TieredPool:
         return self._usage.average_between(start, end)
 
     def average_mib(self, now: Optional[float] = None) -> float:
-        return self.average_pages(now) * 4096 / (1024 * 1024)
+        return mib_from_pages(self.average_pages(now))

@@ -12,6 +12,7 @@ from repro.mem.node import ComputeNode
 from repro.pool.fastswap import Fastswap
 from repro.pool.link import Link
 from repro.pool.remote_pool import RemotePool
+from repro.pool.tier import TieredPool, TierTopology
 from repro.sim.engine import Engine
 from repro.workloads import get_profile
 
@@ -37,8 +38,9 @@ def link() -> Link:
 
 
 @pytest.fixture
-def fastswap(engine: Engine, link: Link, pool: RemotePool) -> Fastswap:
-    return Fastswap(engine, link, pool)
+def fastswap(engine: Engine) -> Fastswap:
+    pool = TieredPool(lambda: engine.now, TierTopology.flat(), default_capacity_mib=8192)
+    return Fastswap(engine, pool)
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ from repro.errors import CapacityError, MemoryError_
 from repro.mem.page import Segment
 from repro.pool.fastswap import Fastswap, FastswapConfig
 from repro.pool.remote_pool import RemotePool
+from repro.pool.tier import TieredPool, TierTopology
 
 
 class TestRemotePool:
@@ -152,7 +153,7 @@ class TestFault:
 
     def test_fault_cpu_cost_model(self, engine, cgroup, fastswap):
         config = FastswapConfig(fault_cpu_per_page_s=1e-5)
-        swap = Fastswap(engine, fastswap.link, fastswap.pool, config)
+        swap = Fastswap(engine, fastswap.pool, config)
         r = cgroup.allocate("a", Segment.INIT, 100)
         swap.offload(cgroup, [r])
         engine.run()
@@ -248,19 +249,20 @@ class TestPoolFullAbort:
     """An offload completing against a pool that filled up mid-flight
     must bounce cleanly (aborted, pages stay local), not raise."""
 
-    def _small_pool_swap(self, engine, link):
-        pool = RemotePool(clock=lambda: engine.now, capacity_mib=2)  # 512 pages
-        return pool, Fastswap(engine, link, pool)
+    def _small_pool_swap(self, engine):
+        # 2 MiB: 512 pages.
+        pool = TieredPool(lambda: engine.now, TierTopology.flat(), default_capacity_mib=2)
+        return pool, Fastswap(engine, pool)
 
-    def test_pool_full_mid_flight_aborts(self, engine, node, link):
+    def test_pool_full_mid_flight_aborts(self, engine, node):
         from repro.mem.cgroup import Cgroup
 
-        pool, swap = self._small_pool_swap(engine, link)
+        pool, swap = self._small_pool_swap(engine)
         cgroup = Cgroup("cg", node, clock=lambda: engine.now)
         r = cgroup.allocate("a", Segment.INIT, 400)
         swap.offload(cgroup, [r])
         # A competing store fills the pool before the write-out lands.
-        pool.store(300)
+        pool.store_at(0, 0, 300)
         engine.run()
         assert r.is_local
         assert swap.stats.aborted_offloads == 1
@@ -268,14 +270,14 @@ class TestPoolFullAbort:
         assert pool.used_pages == 300
         swap.stats.check_conservation(pool.used_pages - 300)
 
-    def test_exact_fit_still_lands(self, engine, node, link):
+    def test_exact_fit_still_lands(self, engine, node):
         from repro.mem.cgroup import Cgroup
 
-        pool, swap = self._small_pool_swap(engine, link)
+        pool, swap = self._small_pool_swap(engine)
         cgroup = Cgroup("cg", node, clock=lambda: engine.now)
         r = cgroup.allocate("a", Segment.INIT, 212)
         swap.offload(cgroup, [r])
-        pool.store(300)  # leaves exactly 212 free
+        pool.store_at(0, 0, 300)  # leaves exactly 212 free
         engine.run()
         assert r.is_remote
         assert swap.stats.aborted_offloads == 0
@@ -304,7 +306,7 @@ class TestLostPages:
         fastswap.offload(cgroup, [r])
         engine.run()
         lost = fastswap.declare_lost(cgroup, [r])
-        fastswap.pool.drop(lost)
+        fastswap.pool.drop_at(0, 0, lost)
         assert lost == 128
         assert fastswap.stats.remote_lost_pages == 128
         fastswap.stats.check_conservation(fastswap.pool.used_pages)
@@ -319,7 +321,7 @@ class TestLostPages:
         r = cgroup.allocate("a", Segment.INIT, 64)
         fastswap.offload(cgroup, [r])
         engine.run()
-        fastswap.pool.drop(fastswap.declare_lost(cgroup, [r]))
+        fastswap.pool.drop_at(0, 0, fastswap.declare_lost(cgroup, [r]))
         stall = fastswap.fault(cgroup, [r])
         assert r.is_local
         assert stall == 0.0  # no wire transfer: the image was lost

@@ -1,35 +1,38 @@
-"""Degenerate-hierarchy differential: one tier, one shard == flat pool.
+"""Golden digests for the one-tier pool: the paper's flat memory node.
 
-Installing a :class:`TierTopology` with a single one-shard tier swaps
-in the whole tiered machinery — :class:`TieredPool`,
-:class:`TieredFastswap`, routing seams, crash-domain plumbing — yet
-the traced event stream must be byte-identical (same SHA-256 digest)
-to a run on the plain ``RemotePool``/``Fastswap`` pair: the single
-shard inherits the platform's capacity and link, keeps the flat pool
-name ``mempool-0`` and the unnamed link subject, emits no ``tier.*``
-events, never arms the demotion daemon, and draws no random numbers.
+``PlatformConfig(tiers=None)`` builds :meth:`TierTopology.flat`, a
+:class:`TieredPool` with one tier and one shard. The digests below
+were pinned from the original flat ``RemotePool`` datapath, and a
+one-tier run must still emit exactly that stream: pool name
+``mempool-0``, an unnamed link subject, no ``tier.*`` events, no
+demotion daemon and no extra random draws. The four runs cover fig12
+and fig11 traffic, pool-node crashes (chaos) and synchronous governor
+write-back (overload).
 """
 
 from __future__ import annotations
 
-from repro.baselines import NoOffloadPolicy
+from repro.core import FaaSMemPolicy
+from repro.experiments.common import make_reuse_priors
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.obs import runtime as obs
 from repro.pool.tier import TieredPool, TierSpec, TierTopology
-from repro.tier import runtime as tier_runtime
-from repro.tier.datapath import TieredFastswap
+from repro.traces import sample_function_trace
+from repro.workloads import get_profile
+
+FIG12_DIGEST = "ea7e6dfbf0a8aa97504ac75bf02f4b43844cc38f4ef27aef2a8ae172ca5b54a7"
+FIG11_DIGEST = "4f1a91f207a209520e0fd2d3e9936f6c61756ad65ee13629e4bd1a7ab983b951"
+CHAOS_DIGEST = "43ee99be8ef47593b9dc90095c0959ad5001ad79ab004d3a823aaec1076435ee"
+OVERLOAD_DIGEST = "3c59af064d96a785886fa2e1719482cf0fbbeb939342304f95db49f10a703155"
 
 
-def _digest(runner, with_degenerate_hierarchy: bool) -> str:
+def _digest(runner) -> str:
     obs.reset_sessions()
     obs.enable(trace=True, audit=False)
-    if with_degenerate_hierarchy:
-        tier_runtime.install(TierTopology.flat())
     try:
         runner()
         return obs.combined_digest()
     finally:
-        tier_runtime.clear()
         obs.disable()
         obs.reset_sessions()
 
@@ -46,25 +49,53 @@ def _run_semiwarm():
     fig11_semiwarm_overview.run(history_duration=3600.0)
 
 
+def _run_chaos():
+    from repro.experiments import chaos
+
+    chaos.run(duration=600.0, intensities=(0.0, 2.0))
+
+
+def _run_overload():
+    from repro.experiments import overload
+
+    overload.run(duration=240.0, multipliers=(0.5, 1.5, 3.0))
+
+
+def _web_platform(tiers) -> ServerlessPlatform:
+    """One traced FaaSMem run of ``web`` on the given pool topology."""
+    trace = sample_function_trace("high", duration=300.0, seed=1)
+    priors = make_reuse_priors(trace, "web", exec_time_s=get_profile("web").exec_time_s)
+    platform = ServerlessPlatform(
+        FaaSMemPolicy(reuse_priors=priors),
+        config=PlatformConfig(trace_events=True, tiers=tiers),
+    )
+    platform.register_function("web", get_profile("web"))
+    platform.run_trace((t, "web") for t in trace.timestamps)
+    return platform
+
+
 class TestDegenerateHierarchyDifferential:
     def test_fig12_digest_identical(self):
-        assert _digest(_run_fig12, False) == _digest(_run_fig12, True)
+        assert _digest(_run_fig12) == FIG12_DIGEST
 
     def test_semiwarm_digest_identical(self):
-        assert _digest(_run_semiwarm, False) == _digest(_run_semiwarm, True)
+        assert _digest(_run_semiwarm) == FIG11_DIGEST
+
+    def test_chaos_digest_identical(self):
+        assert _digest(_run_chaos) == CHAOS_DIGEST
+
+    def test_overload_digest_identical(self):
+        assert _digest(_run_overload) == OVERLOAD_DIGEST
 
     def test_differential_is_not_vacuous(self):
-        """The degenerate branch really does build the tiered stack."""
-        tier_runtime.install(TierTopology.flat())
-        try:
-            platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
+        """``tiers=None`` and an explicit flat topology are one stack."""
+        default = _web_platform(None)
+        explicit = _web_platform(TierTopology.flat())
+        for platform in (default, explicit):
             assert isinstance(platform.pool, TieredPool)
-            assert isinstance(platform.fastswap, TieredFastswap)
             assert platform.pool.degenerate
-            assert platform.pool.name == "mempool-0"
-            assert platform.fastswap.links()[0].name == ""
-        finally:
-            tier_runtime.clear()
+            assert platform.fastswap.stats.offloaded_pages > 0
+        assert default.tracer.digest() == explicit.tracer.digest()
 
     def test_real_hierarchy_does_change_the_stream(self):
         """Sanity check on the instrument: two tiers diverge.
@@ -73,26 +104,39 @@ class TestDegenerateHierarchyDifferential:
         semi-warm drains over the near link, so its digest cannot match
         the flat run.
         """
-
-        def run_two_tier(tiered: bool):
-            def runner():
-                if tiered:
-                    tier_runtime.install(
-                        TierTopology.cxl_rdma(total_capacity_mib=64 * 1024)
-                    )
-                try:
-                    _run_fig12()
-                finally:
-                    tier_runtime.clear()
-
-            return runner
-
-        assert _digest(run_two_tier(False), False) != _digest(
-            run_two_tier(True), False
-        )
+        flat = _web_platform(None)
+        tiered = _web_platform(TierTopology.cxl_rdma(total_capacity_mib=64 * 1024))
+        assert flat.tracer.digest() != tiered.tracer.digest()
+        assert any(e.kind.startswith("tier.") for e in tiered.tracer.events)
 
     def test_multi_shard_single_tier_is_not_degenerate(self):
         """Sharding alone already leaves the provable-flat regime."""
         topo = TierTopology(tiers=[TierSpec(name="pool", shards=2)])
         assert not topo.degenerate
         assert TierTopology.flat().degenerate
+
+
+class TestOneTierSurface:
+    """From outside, a one-tier run looks exactly like the flat pool."""
+
+    def test_default_platform_is_the_flat_pool(self):
+        platform = _web_platform(None)
+        fastswap = platform.fastswap
+        assert fastswap.tier_stats is None
+        assert fastswap.demotions == 0
+        assert len(fastswap.crash_domains()) == 1
+        assert platform.pool.name == "mempool-0"
+        assert platform.link.name == ""
+        assert [link.name for link in fastswap.links()] == [""]
+        assert not any(e.kind.startswith("tier.") for e in platform.tracer.events)
+
+    def test_tiering_flat_row_keeps_no_ledger(self):
+        from repro.experiments import tiering
+
+        rows = tiering.run(duration=300.0, near_shares=(0.25,)).rows
+        flat = next(row for row in rows if row["system"] == "flat")
+        hierarchy = next(row for row in rows if row["system"] == "hierarchy")
+        assert flat["near_resident_pk"] == 0
+        assert flat["spills"] == 0
+        assert flat["demotions"] == 0
+        assert hierarchy["near_resident_pk"] > 0
