@@ -85,8 +85,7 @@ class TmoPolicy(PeriodicScanPolicy):
                 victims.append(region)
                 remaining -= region.pages
             else:
-                sibling = region.split(remaining)
-                container.cgroup.space.adopt(sibling)
+                sibling = container.cgroup.space.split(region, remaining)
                 victims.append(sibling)
                 remaining = 0
         return victims

@@ -17,6 +17,8 @@ import time
 from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments, run_experiment
+from repro.faas import PlatformConfig
+from repro.faults import FaultSpec
 from repro.metrics.export import to_json
 from repro.units import HOUR
 
@@ -166,15 +168,26 @@ def _run_one(
     json_path: Optional[str],
     plot: bool = False,
     jobs: Optional[int] = None,
+    platform_config: Optional[PlatformConfig] = None,
+    config_flags: str = "",
 ) -> None:
+    """Run one experiment; ``config_flags`` names what set ``platform_config``."""
     kwargs = dict(_QUICK_KWARGS.get(name, {})) if quick else {}
+    parameters = inspect.signature(get_experiment(name)).parameters
     if jobs is not None:
         # Only grid-based experiments accept a worker count; the rest
         # run serially regardless, so a --jobs flag is simply inert.
-        if "jobs" in inspect.signature(get_experiment(name)).parameters:
+        if "jobs" in parameters:
             kwargs["jobs"] = jobs
         elif jobs not in (None, 1):
             print(f"[{name} has no parallel sweep grid; running serially]")
+    if platform_config is not None:
+        # Analytic experiments build no platform, so there is nothing
+        # to trace, audit or inject faults into.
+        if "platform_config" in parameters:
+            kwargs["platform_config"] = platform_config
+        else:
+            print(f"[{name} builds no platform; {config_flags} ignored]")
     started = time.time()
     result = run_experiment(name, **kwargs)
     elapsed = time.time() - started
@@ -203,11 +216,8 @@ def _trace_command(args) -> int:
     from repro.obs import runtime as obs
 
     obs.reset_sessions()
-    obs.enable(trace=True, audit=args.audit)
-    try:
-        _run_one(args.experiment, args.quick, None)
-    finally:
-        obs.disable()
+    config = PlatformConfig(trace_events=True, audit_events=args.audit)
+    _run_one(args.experiment, args.quick, None, platform_config=config, config_flags="tracing")
     sessions = obs.sessions()
     if not sessions:
         print("trace: experiment registered no traced platforms")
@@ -265,34 +275,31 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return 1
         return 0
+    # --audit and --faults make one run configuration, handed to every
+    # experiment that builds platforms.
+    platform_config = None
+    given = [flag for flag, on in (("--audit", args.audit), ("--faults", args.faults)) if on]
+    if given:
+        platform_config = PlatformConfig(
+            audit_events=args.audit,
+            faults=FaultSpec.parse(args.faults) if args.faults else None,
+        )
     if args.audit:
         from repro.obs import runtime as obs
 
         obs.reset_sessions()
-        obs.enable(trace=True, audit=True)
-    faults_spec = getattr(args, "faults", None)
-    if faults_spec:
-        from repro.faults import FaultSpec
-        from repro.faults import runtime as faults_runtime
-
-        faults_runtime.install(FaultSpec.parse(faults_spec))
-    try:
-        jobs = getattr(args, "jobs", None)
-        if args.experiment == "all":
-            for name in list_experiments():
-                _run_one(name, args.quick, None, plot=args.plot, jobs=jobs)
-                print()
-        else:
-            _run_one(args.experiment, args.quick, args.json, plot=args.plot, jobs=jobs)
-    finally:
-        if faults_spec:
-            from repro.faults import runtime as faults_runtime
-
-            faults_runtime.clear()
-        if args.audit:
-            from repro.obs import runtime as obs
-
-            obs.disable()
+    options = {
+        "plot": args.plot,
+        "jobs": args.jobs,
+        "platform_config": platform_config,
+        "config_flags": "/".join(given),
+    }
+    if args.experiment == "all":
+        for name in list_experiments():
+            _run_one(name, args.quick, None, **options)
+            print()
+    else:
+        _run_one(args.experiment, args.quick, args.json, **options)
     if args.audit:
         return 1 if _report_audit() else 0
     return 0

@@ -206,8 +206,7 @@ class SemiWarmController:
                 victims.append(region)
                 remaining -= region.pages
             else:
-                sibling = region.split(remaining)
-                self.container.cgroup.space.adopt(sibling)
+                sibling = self.container.cgroup.space.split(region, remaining)
                 victims.append(sibling)
                 remaining = 0
         return victims

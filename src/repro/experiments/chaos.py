@@ -12,6 +12,7 @@ online; the zero-intensity row doubles as the fault-free baseline.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
 from repro.errors import ExperimentError
@@ -28,7 +29,12 @@ from repro.workloads import get_profile
 
 
 def _sweep_point(
-    intensity: float, benchmark: str, duration: float, seed: int, fault_seed: int
+    intensity: float,
+    benchmark: str,
+    duration: float,
+    seed: int,
+    fault_seed: int,
+    platform_config: Optional[PlatformConfig],
 ) -> Dict[str, Any]:
     """One intensity of the chaos sweep, regenerated from its seeds."""
     trace = sample_function_trace("high", duration=duration, seed=seed)
@@ -47,7 +53,12 @@ def _sweep_point(
     )
     platform = ServerlessPlatform(
         build_policy(),
-        config=PlatformConfig(seed=seed, audit_events=True, faults=spec),
+        config=replace(
+            platform_config or PlatformConfig(),
+            seed=seed,
+            audit_events=True,
+            faults=spec,
+        ),
     )
     platform.register_function(benchmark, get_profile(benchmark))
     platform.run_trace((t, benchmark) for t in trace.timestamps)
@@ -82,6 +93,7 @@ def run(
     fault_seed: int = 43,
     intensities: Sequence[float] = (0.0, 0.5, 1.0, 2.0),
     jobs: Optional[int] = None,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Sweep fault intensity; report availability, p99 and recovery."""
     result = ExperimentResult(
@@ -98,6 +110,7 @@ def run(
                 "duration": duration,
                 "seed": seed,
                 "fault_seed": fault_seed,
+                "platform_config": platform_config,
             },
         )
         for intensity in intensities

@@ -9,13 +9,13 @@ compare admissions, rejections and committed capacity.
 
 from __future__ import annotations
 
-from typing import Dict, Sequence
+from typing import Dict, Optional, Sequence
 
 from repro.cluster import Cluster, ClusterConfig
 from repro.cluster.cluster import deployment_events_from_run
 from repro.core import FaaSMemPolicy
 from repro.experiments.common import ExperimentResult, make_reuse_priors
-from repro.faas import ServerlessPlatform
+from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faas.density import estimate_density
 from repro.traces.azure import sample_function_trace
 from repro.units import HOUR
@@ -28,6 +28,7 @@ def run(
     n_nodes: int = 2,
     quotas_per_node: float = 2.0,
     seed: int = 31,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Measure fleet-wide admission with and without quota reduction."""
     result = ExperimentResult(
@@ -45,7 +46,7 @@ def run(
             "bursty", duration=4 * duration, seed=seed + index
         )
         priors = make_reuse_priors(history, app)
-        platform = ServerlessPlatform(FaaSMemPolicy(reuse_priors=priors))
+        platform = ServerlessPlatform(FaaSMemPolicy(reuse_priors=priors), config=platform_config)
         platform.register_function(app, get_profile(app))
         platform.run_trace((t, app) for t in trace.timestamps)
         report = estimate_density(platform, app, window=duration)

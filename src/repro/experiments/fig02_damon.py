@@ -12,6 +12,7 @@ from typing import Optional, Sequence
 
 from repro.baselines import DamonPolicy, NoOffloadPolicy
 from repro.experiments.common import ExperimentResult, run_benchmark_trace
+from repro.faas import PlatformConfig
 from repro.traces.azure import sample_function_trace
 from repro.units import HOUR
 from repro.workloads import all_benchmarks
@@ -21,6 +22,7 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     duration: float = 0.5 * HOUR,
     seed: int = 7,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Baseline-vs-DAMON P95 latency across benchmarks."""
     result = ExperimentResult(
@@ -32,8 +34,8 @@ def run(
         trace = sample_function_trace(
             "middle", duration=duration, seed=seed + index, name=f"azure-{benchmark}"
         )
-        base = run_benchmark_trace(NoOffloadPolicy(), benchmark, trace)
-        damon = run_benchmark_trace(DamonPolicy(), benchmark, trace)
+        base = run_benchmark_trace(NoOffloadPolicy(), benchmark, trace, platform_config)
+        damon = run_benchmark_trace(DamonPolicy(), benchmark, trace, platform_config)
         ratio = damon.latency_p95 / base.latency_p95
         ratios[benchmark] = ratio
         result.rows.append(

@@ -8,9 +8,11 @@ could absorb.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from repro.baselines import NoOffloadPolicy
 from repro.experiments.common import ExperimentResult
-from repro.faas import ServerlessPlatform
+from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.mem.page import Segment
 from repro.workloads.profile import UniformInit, WorkloadProfile
 from repro.workloads.runtimes import RUNTIME_FOOTPRINTS, make_runtime_profile
@@ -31,7 +33,7 @@ def _hello_world(platform_name: str, language: str) -> WorkloadProfile:
     )
 
 
-def run() -> ExperimentResult:
+def run(platform_config: Optional[PlatformConfig] = None) -> ExperimentResult:
     """Measure inactive runtime memory after one hello-world request."""
     result = ExperimentResult(
         experiment="fig04",
@@ -39,7 +41,7 @@ def run() -> ExperimentResult:
     )
     for footprint in RUNTIME_FOOTPRINTS:
         profile = _hello_world(footprint.platform, footprint.language)
-        platform = ServerlessPlatform(NoOffloadPolicy())
+        platform = ServerlessPlatform(NoOffloadPolicy(), config=platform_config)
         platform.register_function("hello", profile)
         platform.submit("hello", 0.0)
         platform.engine.run(until=30.0)

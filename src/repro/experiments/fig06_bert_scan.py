@@ -8,10 +8,10 @@ on every request.
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.experiments.common import ExperimentResult
-from repro.faas import ServerlessPlatform
+from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faas.policy import OffloadPolicy
 from repro.units import MIB, PAGE_SIZE
 
@@ -55,12 +55,15 @@ class _AccessRecorder(OffloadPolicy):
         )
 
 
-def run(request_times: Sequence[float] = (8.0, 12.0, 16.0)) -> ExperimentResult:
+def run(
+    request_times: Sequence[float] = (8.0, 12.0, 16.0),
+    platform_config: Optional[PlatformConfig] = None,
+) -> ExperimentResult:
     """Trace one Bert container's footprint and per-request access."""
     from repro.workloads import get_profile
 
     recorder = _AccessRecorder()
-    platform = ServerlessPlatform(recorder)
+    platform = ServerlessPlatform(recorder, config=platform_config)
     platform.register_function("bert", get_profile("bert"))
     for at in request_times:
         platform.submit("bert", at)

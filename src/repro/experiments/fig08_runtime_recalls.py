@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from repro.core import FaaSMemConfig, FaaSMemPolicy
 from repro.experiments.common import ExperimentResult, run_benchmark_trace
+from repro.faas import PlatformConfig
 from repro.traces.azure import sample_function_trace
 from repro.workloads import all_benchmarks
 
@@ -21,6 +22,7 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     duration: float = 600.0,
     seed: int = 11,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Count Runtime-Pucket recalls per benchmark under FaaSMem."""
     result = ExperimentResult(
@@ -33,7 +35,7 @@ def run(
         )
         # Semi-warm disabled: Fig. 8 isolates the Pucket mechanism.
         policy = FaaSMemPolicy(FaaSMemConfig(enable_semiwarm=False))
-        run_benchmark_trace(policy, benchmark, trace)
+        run_benchmark_trace(policy, benchmark, trace, platform_config)
         recalls = sum(report.runtime_recalls for report in policy.reports)
         requests = sum(report.requests_served for report in policy.reports)
         result.rows.append(

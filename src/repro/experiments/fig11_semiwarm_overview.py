@@ -14,6 +14,7 @@ test uniform across experiments.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional
 
 import numpy as np
@@ -33,7 +34,11 @@ from repro.workloads import get_profile
 
 
 def _sweep_point(
-    benchmark: str, history_duration: float, reuse_after_s: float, seed: int
+    benchmark: str,
+    history_duration: float,
+    reuse_after_s: float,
+    seed: int,
+    platform_config: Optional[PlatformConfig],
 ) -> Dict[str, Any]:
     """Both panels: the historical CDF and one live drain timeline."""
     # Left panel: historical reused-interval CDF and the chosen timing.
@@ -47,7 +52,9 @@ def _sweep_point(
     # Right panel: one container's local memory through idle -> drain
     # -> reuse, sampled from a live run.
     policy = FaaSMemPolicy(reuse_priors=priors)
-    platform = ServerlessPlatform(policy, config=PlatformConfig(seed=seed))
+    platform = ServerlessPlatform(
+        policy, config=replace(platform_config or PlatformConfig(), seed=seed)
+    )
     platform.register_function(benchmark, profile)
     platform.submit(benchmark, 0.0)
     platform.submit(benchmark, profile.cold_start_s + reuse_after_s)
@@ -73,6 +80,7 @@ def run(
     reuse_after_s: float = 180.0,
     seed: int = 19,
     jobs: Optional[int] = None,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Produce the two panels of Fig. 11 from simulation data."""
     result = ExperimentResult(
@@ -88,6 +96,7 @@ def run(
                 "history_duration": history_duration,
                 "reuse_after_s": reuse_after_s,
                 "seed": seed,
+                "platform_config": platform_config,
             },
         )
     ]

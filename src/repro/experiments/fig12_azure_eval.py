@@ -26,6 +26,7 @@ from repro.experiments.common import (
     run_benchmark_trace,
     system_factories,
 )
+from repro.faas import PlatformConfig
 from repro.metrics.summary import SystemComparison
 from repro.traces.azure import sample_function_trace
 from repro.units import HOUR
@@ -33,7 +34,12 @@ from repro.workloads import all_benchmarks
 
 
 def _sweep_point(
-    load: str, benchmark: str, index: int, duration: float, seed: int
+    load: str,
+    benchmark: str,
+    index: int,
+    duration: float,
+    seed: int,
+    platform_config: Optional[PlatformConfig],
 ) -> Dict[str, Any]:
     """One grid cell: baseline + TMO + FaaSMem on one seeded trace."""
     trace = sample_function_trace(
@@ -47,13 +53,13 @@ def _sweep_point(
     )
     factories = system_factories(trace=trace, benchmark=benchmark, history=history)
     baseline = run_benchmark_trace(
-        factories["baseline"](), benchmark, trace, trace_label=load
+        factories["baseline"](), benchmark, trace, platform_config, load
     )
     rows: List[Dict[str, Any]] = []
     saving = 0.0
     for system in ("tmo", "faasmem"):
         candidate = run_benchmark_trace(
-            factories[system](), benchmark, trace, trace_label=load
+            factories[system](), benchmark, trace, platform_config, load
         )
         comparison = SystemComparison(baseline=baseline, candidate=candidate)
         if system == "faasmem":
@@ -79,6 +85,7 @@ def run(
     duration: float = 1 * HOUR,
     seed: int = 3,
     jobs: Optional[int] = None,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """The full Fig. 12 sweep (optionally parallel over grid points)."""
     result = ExperimentResult(
@@ -96,6 +103,7 @@ def run(
                 "index": index,
                 "duration": duration,
                 "seed": seed,
+                "platform_config": platform_config,
             },
         )
         for load in loads

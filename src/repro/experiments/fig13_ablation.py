@@ -24,6 +24,7 @@ from repro.experiments.common import (
     make_reuse_priors,
     run_benchmark_trace,
 )
+from repro.faas import PlatformConfig
 from repro.traces.azure import sample_function_trace
 from repro.units import HOUR
 from repro.workloads import get_profile
@@ -41,6 +42,7 @@ def run(
     duration: float = 2 * HOUR,
     common_seed: int = 42,
     bursty_seed: int = 77,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Run the four variants on the common and bursty traces."""
     result = ExperimentResult(
@@ -64,7 +66,7 @@ def run(
                 policy = NoOffloadPolicy()
             else:
                 policy = FaaSMemPolicy(config=config, reuse_priors=priors)
-            summary = run_benchmark_trace(policy, benchmark, trace, trace_label=case)
+            summary = run_benchmark_trace(policy, benchmark, trace, platform_config, case)
             if variant == "baseline":
                 baseline_summary = summary
             timelines[(case, variant)] = summary.memory.resample(step=30.0)

@@ -13,6 +13,7 @@ from typing import Optional, Sequence
 
 from repro.core import FaaSMemConfig, FaaSMemPolicy
 from repro.experiments.common import ExperimentResult, run_benchmark_trace
+from repro.faas import PlatformConfig
 from repro.traces.azure import sample_function_trace
 from repro.workloads import all_benchmarks
 
@@ -21,6 +22,7 @@ def run(
     benchmarks: Optional[Sequence[str]] = None,
     duration: float = 900.0,
     seed: int = 23,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Measure the modelled Pucket procedure costs per benchmark."""
     result = ExperimentResult(
@@ -33,7 +35,7 @@ def run(
             "high", duration=duration, seed=seed + index, name=f"ovh-{benchmark}"
         )
         policy = FaaSMemPolicy(config)
-        run_benchmark_trace(policy, benchmark, trace)
+        run_benchmark_trace(policy, benchmark, trace, platform_config)
         reports = policy.reports
         if not reports:
             continue

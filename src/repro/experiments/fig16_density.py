@@ -19,7 +19,7 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from repro.experiments.common import ExperimentResult, faasmem_factory
-from repro.faas import ServerlessPlatform
+from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.faas.density import estimate_density
 from repro.sim.randomness import RandomStreams
 from repro.traces.model import FunctionTrace
@@ -91,6 +91,7 @@ def run(
     n_traces: int = 20,
     duration: float = 0.5 * HOUR,
     seed: int = 9,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Replay the random trace set under FaaSMem for each application."""
     result = ExperimentResult(
@@ -101,7 +102,7 @@ def run(
     for app in applications or APPLICATIONS:
         for trace, history in traces:
             policy = faasmem_factory(trace, app, history=history)()
-            platform = ServerlessPlatform(policy)
+            platform = ServerlessPlatform(policy, config=platform_config)
             platform.register_function(app, get_profile(app))
             platform.run_trace((t, app) for t in trace.timestamps)
             report = estimate_density(platform, app, window=trace.duration)

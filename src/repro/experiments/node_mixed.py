@@ -10,7 +10,8 @@ one FaaSMem node".
 
 from __future__ import annotations
 
-from typing import Dict
+from dataclasses import replace
+from typing import Dict, Optional
 
 from repro.baselines import NoOffloadPolicy, TmoPolicy
 from repro.core import FaaSMemPolicy
@@ -29,6 +30,7 @@ def run(
     max_functions: int = 40,
     keep_alive_s: float = 10 * MINUTE,
     seed: int = 77,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Replay a mapped population under the three systems."""
     result = ExperimentResult(
@@ -59,7 +61,11 @@ def run(
     ):
         platform = ServerlessPlatform(
             factory(),
-            config=PlatformConfig(seed=seed, keep_alive_s=keep_alive_s),
+            config=replace(
+                platform_config or PlatformConfig(),
+                seed=seed,
+                keep_alive_s=keep_alive_s,
+            ),
         )
         for binding in bindings:
             platform.register_function(

@@ -20,6 +20,7 @@ direct-reclaim stalls in p99 and as shed load.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -67,6 +68,7 @@ def _sweep_point(
     keep_alive_s: float,
     mean_iat_s: float,
     seed: int,
+    platform_config: Optional[PlatformConfig],
 ) -> Dict[str, Any]:
     """One (multiplier, system) cell of the overload sweep.
 
@@ -101,7 +103,8 @@ def _sweep_point(
     )
     platform = ServerlessPlatform(
         policy,
-        config=PlatformConfig(
+        config=replace(
+            platform_config or PlatformConfig(),
             seed=seed,
             audit_events=True,
             node_capacity_mib=node_capacity_mib,
@@ -154,6 +157,7 @@ def run(
     multipliers: Sequence[float] = (0.5, 1.0, 1.5, 2.0, 3.0),
     seed: int = 11,
     jobs: Optional[int] = None,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Sweep warm-set demand as a multiplier of node capacity.
 
@@ -183,6 +187,7 @@ def run(
                 "keep_alive_s": keep_alive_s,
                 "mean_iat_s": mean_iat_s,
                 "seed": seed,
+                "platform_config": platform_config,
             },
         )
         for multiplier in multipliers

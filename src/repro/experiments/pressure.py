@@ -13,7 +13,7 @@ the same load with fewer pressure evictions and fewer cold starts.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict
+from typing import Dict, Optional
 
 from repro.baselines import NoOffloadPolicy
 from repro.core import FaaSMemPolicy
@@ -51,12 +51,14 @@ def run(
     node_capacity_mib: float = 4 * 1024,
     duration: float = 0.5 * HOUR,
     seed: int = 47,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Steady web + surging Bert on a deliberately small node."""
     result = ExperimentResult(
         experiment="pressure",
         title=f"Memory-stranded node ({node_capacity_mib / 1024:.0f} GiB, web + bert)",
     )
+    base = platform_config or PlatformConfig()
     bert_trace, web_trace = _traces(duration, seed)
     events = sorted(
         [(t, "bert") for t in bert_trace.timestamps]
@@ -70,7 +72,7 @@ def run(
     # offload per function, which shrinks the scheduling quota (§8.6).
     scales: Dict[str, float] = {}
     profiling = ServerlessPlatform(
-        FaaSMemPolicy(reuse_priors=priors), config=PlatformConfig(seed=seed)
+        FaaSMemPolicy(reuse_priors=priors), config=replace(base, seed=seed)
     )
     for name in ("bert", "web"):
         profiling.register_function(name, get_profile(name))
@@ -85,7 +87,8 @@ def run(
     ):
         platform = ServerlessPlatform(
             policy_factory(),
-            config=PlatformConfig(
+            config=replace(
+                base,
                 seed=seed,
                 node_capacity_mib=node_capacity_mib,
                 evict_on_pressure=True,

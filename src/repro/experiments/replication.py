@@ -10,7 +10,7 @@ reader can see how stable each headline number is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -19,6 +19,7 @@ from repro.experiments.common import (
     run_benchmark_trace,
     system_factories,
 )
+from repro.faas import PlatformConfig
 from repro.traces.azure import sample_function_trace
 from repro.units import HOUR
 
@@ -65,6 +66,7 @@ def replicate(
     load: str = "high",
     seeds: Sequence[int] = tuple(range(8)),
     duration: float = 0.5 * HOUR,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Baseline-vs-FaaSMem across several trace seeds."""
     savings: List[float] = []
@@ -73,8 +75,8 @@ def replicate(
         trace = sample_function_trace(load, duration=duration, seed=seed)
         history = sample_function_trace(load, duration=4 * duration, seed=seed)
         factories = system_factories(trace=trace, benchmark=benchmark, history=history)
-        baseline = run_benchmark_trace(factories["baseline"](), benchmark, trace)
-        faasmem = run_benchmark_trace(factories["faasmem"](), benchmark, trace)
+        baseline = run_benchmark_trace(factories["baseline"](), benchmark, trace, platform_config)
+        faasmem = run_benchmark_trace(factories["faasmem"](), benchmark, trace, platform_config)
         savings.append(1 - faasmem.memory.average_mib / baseline.memory.average_mib)
         p95_ratios.append(faasmem.latency_p95 / baseline.latency_p95)
     result = ExperimentResult(

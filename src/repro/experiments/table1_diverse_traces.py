@@ -17,6 +17,7 @@ from repro.experiments.common import (
     run_benchmark_trace,
     system_factories,
 )
+from repro.faas import PlatformConfig
 from repro.traces.azure import sample_function_trace
 from repro.traces.model import FunctionTrace
 from repro.units import HOUR
@@ -42,6 +43,7 @@ def run(
     trace_ids: Sequence[int] = (1, 2, 3, 4, 5, 6),
     applications: Optional[Sequence[str]] = None,
     duration: float = 1 * HOUR,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """The full Table 1 grid."""
     result = ExperimentResult(
@@ -57,7 +59,7 @@ def run(
             baseline_mem = None
             for system in ("baseline", "tmo", "faasmem"):
                 summary = run_benchmark_trace(
-                    factories[system](), app, trace, trace_label=f"ID-{trace_id}"
+                    factories[system](), app, trace, platform_config, f"ID-{trace_id}"
                 )
                 mem_gib = summary.memory.average_mib / 1024
                 row[f"{system}_p95_s"] = round(summary.latency_p95, 3)

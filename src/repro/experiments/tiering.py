@@ -20,6 +20,7 @@ generalised per-tier swap-conservation law.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Dict, Optional, Sequence
 
 from repro.baselines import NoOffloadPolicy
@@ -44,6 +45,7 @@ def _run_one(
     pool_capacity_mib: float,
     tiers: Optional[TierTopology],
     offload: bool,
+    platform_config: Optional[PlatformConfig],
 ) -> ServerlessPlatform:
     if offload:
         priors = make_reuse_priors(
@@ -54,7 +56,8 @@ def _run_one(
         policy = NoOffloadPolicy()
     platform = ServerlessPlatform(
         policy,
-        config=PlatformConfig(
+        config=replace(
+            platform_config or PlatformConfig(),
             seed=seed,
             audit_events=True,
             pool_capacity_mib=pool_capacity_mib,
@@ -79,6 +82,7 @@ def _sweep_point(
     demote_after_s: float,
     far_direct_age_s: Optional[float],
     seed: int,
+    platform_config: Optional[PlatformConfig],
 ) -> Dict[str, Any]:
     """One sweep cell: a full platform run reduced to its result row."""
     trace = sample_function_trace(load, duration=duration, seed=seed)
@@ -99,6 +103,7 @@ def _sweep_point(
         pool_capacity_mib,
         tiers=tiers,
         offload=system != "no_offload",
+        platform_config=platform_config,
     )
     summary = platform.summarize(benchmark, load, window=duration)
     breakdown = platform.latency_breakdown()
@@ -140,6 +145,7 @@ def run(
     far_direct_age_s: Optional[float] = 300.0,
     seed: int = 7,
     jobs: Optional[int] = None,
+    platform_config: Optional[PlatformConfig] = None,
 ) -> ExperimentResult:
     """Sweep the near-tier capacity share at fixed total pool capacity."""
     result = ExperimentResult(
@@ -157,6 +163,7 @@ def run(
         "demote_after_s": demote_after_s,
         "far_direct_age_s": far_direct_age_s,
         "seed": seed,
+        "platform_config": platform_config,
     }
     cells = [("no_offload", None), ("flat", 0.0)] + [
         ("hierarchy", share) for share in near_shares

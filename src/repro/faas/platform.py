@@ -2,17 +2,19 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Union
 
 from repro.errors import TraceError
 from repro.faas.controller import Controller
 from repro.faas.function import FunctionSpec
 from repro.faas.keepalive import FixedKeepAlive, KeepAlivePolicy
 from repro.faas.policy import OffloadPolicy
-from repro.faas.request import Invocation, RequestRecord, reset_invocation_ids
+from repro.faas.request import Invocation, RequestRecord
+from repro.faas.sharing import SharedRuntimeRegistry
+from repro.faults import FaultInjector, FaultSchedule, FaultSpec
 from repro.mem.node import ComputeNode
-from repro.mem.page import reset_region_ids
 from repro.metrics.latency import LatencyStats
 from repro.metrics.memory import MemoryTimeline
 from repro.metrics.summary import RunSummary
@@ -29,10 +31,18 @@ from repro.sim.randomness import RandomStreams
 from repro.units import MINUTE
 from repro.workloads.profile import WorkloadProfile
 
+if TYPE_CHECKING:
+    from repro.pressure.governor import PressureConfig
+
 
 @dataclass
 class PlatformConfig:
-    """Cluster and policy-independent knobs (paper §8.1 defaults)."""
+    """One platform's run configuration (paper §8.1 defaults).
+
+    Everything that shapes a run travels here, explicitly: experiment
+    harnesses take one as ``platform_config`` and derive per-platform
+    copies with :func:`dataclasses.replace`.
+    """
 
     node_capacity_mib: float = 64 * 1024  # 64 GB compute node
     pool_capacity_mib: float = 64 * 1024  # 64 GB memory node
@@ -63,23 +73,19 @@ class PlatformConfig:
     # Structured event tracing (repro.obs). Off by default: with no
     # tracer attached every emission site is a single ``is not None``
     # check. ``audit_events`` additionally attaches the invariant
-    # auditor to the trace stream.
+    # auditor to the trace stream (and implies tracing).
     trace_events: bool = False
     audit_events: bool = False
     trace_capacity: int = 1 << 16
     # Deterministic fault injection (repro.faults): a FaultSpec (one
     # concrete schedule is drawn from it) or a ready FaultSchedule.
-    # None falls back to the process-wide default installed via
-    # repro.faults.runtime (the CLI --faults flag); with neither set,
-    # no injector is constructed at all and the datapath stays on its
+    # None constructs no injector at all, so the datapath stays on its
     # zero-cost ``injector is None`` path.
-    faults: Optional[object] = None
-    # Memory-pressure governor (repro.pressure): a PressureConfig.
-    # None falls back to the process-wide default installed via
-    # repro.pressure.runtime; with neither set, no governor is
-    # constructed and every hook stays on its zero-cost
+    faults: Optional[Union[FaultSpec, FaultSchedule]] = None
+    # Memory-pressure governor (repro.pressure). None constructs no
+    # governor, so every hook stays on its zero-cost
     # ``governor is None`` path.
-    pressure: Optional[object] = None
+    pressure: Optional[PressureConfig] = None
     # Pool hierarchy below node DRAM. None is TierTopology.flat(): the
     # paper's single pool node behind one link.
     tiers: Optional[TierTopology] = None
@@ -106,51 +112,37 @@ class ServerlessPlatform:
         keep_alive: Optional[KeepAlivePolicy] = None,
         tracer: Optional[Tracer] = None,
     ) -> None:
-        self.config = config or PlatformConfig()
-        # Restart the process-global id sequences so repeated same-seed
-        # runs assign identical region/invocation ids (and therefore
-        # emit byte-identical trace streams). Only relative id order
-        # matters to the simulation, so this is behaviour-preserving.
-        reset_region_ids()
-        reset_invocation_ids()
+        self.config = config = config or PlatformConfig()
         self.engine = Engine()
-        self.streams = RandomStreams(seed=self.config.seed)
-        # Observability: an explicit tracer, the config switch, or the
-        # process-wide repro.obs switches all enable tracing; auditing
-        # subscribes the invariant checker to the same stream.
-        want_trace = (
-            tracer is not None
-            or self.config.trace_events
-            or self.config.audit_events
-            or obs_runtime.trace_enabled()
-        )
-        want_audit = self.config.audit_events or obs_runtime.audit_enabled()
-        if tracer is None and want_trace:
-            tracer = Tracer(
-                clock=lambda: self.engine.now,
-                capacity=max(self.config.trace_capacity, obs_runtime.trace_capacity()),
-            )
+        self.streams = RandomStreams(seed=config.seed)
+        # Invocation ids are this platform's own sequence (region ids
+        # are its compute node's), so a run's trace stream depends on
+        # nothing else built in the process.
+        self._invocation_ids = itertools.count(1)
+        # Observability: an explicit tracer or the config enables
+        # tracing; auditing subscribes the invariant checker to the
+        # same stream. Every traced platform reports to the session
+        # registry.
+        if tracer is None and (config.trace_events or config.audit_events):
+            tracer = Tracer(clock=lambda: self.engine.now, capacity=config.trace_capacity)
         self.tracer = tracer
         self.auditor: Optional[InvariantAuditor] = None
         if tracer is not None:
             self.engine.tracer = tracer
-            if want_audit:
+            if config.audit_events:
                 self.auditor = InvariantAuditor().attach(tracer)
-            obs_runtime.register_session(
-                obs_runtime.ObsSession(
-                    label=f"{policy.name}", tracer=tracer, auditor=self.auditor
-                )
-            )
+            session = obs_runtime.ObsSession(policy.name, tracer, self.auditor)
+            obs_runtime.register_session(session)
         self.node = ComputeNode(
             clock=lambda: self.engine.now,
-            capacity_mib=self.config.node_capacity_mib,
-            strict=self.config.strict_node_capacity,
+            capacity_mib=config.node_capacity_mib,
+            strict=config.strict_node_capacity,
         )
         self.pool = TieredPool(
             clock=lambda: self.engine.now,
-            topology=self.config.tiers or TierTopology.flat(),
-            default_capacity_mib=self.config.pool_capacity_mib,
-            default_link=self.config.link,
+            topology=config.tiers or TierTopology.flat(),
+            default_capacity_mib=config.pool_capacity_mib,
+            default_link=config.link,
         )
         self.fastswap = Fastswap(self.engine, self.pool)
         self.link = self.fastswap.link
@@ -159,38 +151,19 @@ class ServerlessPlatform:
                 link.tracer = tracer
             self.fastswap.tracer = tracer
         self.bandwidth_monitor = BandwidthMonitor(self.link)
-        self.keep_alive = keep_alive or FixedKeepAlive(self.config.keep_alive_s)
+        self.keep_alive = keep_alive or FixedKeepAlive(config.keep_alive_s)
         self.controller = Controller(self)
-        from repro.faas.sharing import SharedRuntimeRegistry
-
         self.runtime_shares = SharedRuntimeRegistry(self)
-        # Fault injection: an explicit config value wins over the
-        # process-wide default (lazy imports keep repro.faas loadable
-        # without repro.faults and avoid an import cycle).
-        self.fault_injector = None
-        faults = self.config.faults
-        if faults is None:
-            from repro.faults import runtime as faults_runtime
-
-            faults = faults_runtime.default_faults()
-        if faults is not None:
-            from repro.faults import FaultInjector, FaultSchedule, FaultSpec
-
-            if isinstance(faults, FaultSpec):
-                faults = FaultSchedule.from_spec(faults)
-            self.fault_injector = FaultInjector(self, faults).attach()
-        # Memory pressure: same precedence as faults — explicit config
-        # value, then the process-wide default, then nothing.
+        faults = config.faults
+        if isinstance(faults, FaultSpec):
+            faults = FaultSchedule.from_spec(faults)
+        self.fault_injector = None if faults is None else FaultInjector(self, faults).attach()
         self.governor = None
-        pressure = self.config.pressure
-        if pressure is None:
-            from repro.pressure import runtime as pressure_runtime
-
-            pressure = pressure_runtime.default_pressure()
-        if pressure is not None:
+        if config.pressure is not None:
+            # Imported here: repro.pressure imports repro.faas.
             from repro.pressure.governor import MemoryPressureGovernor
 
-            self.governor = MemoryPressureGovernor(self, pressure).attach()
+            self.governor = MemoryPressureGovernor(self, config.pressure).attach()
         self.policy = policy
         self._functions: Dict[str, FunctionSpec] = {}
         self.records: List[RequestRecord] = []
@@ -228,7 +201,11 @@ class ServerlessPlatform:
         self.function(function)  # validate early
 
         def fire() -> None:
-            invocation = Invocation(function=function, arrival=self.engine.now)
+            invocation = Invocation(
+                function=function,
+                arrival=self.engine.now,
+                invocation_id=next(self._invocation_ids),
+            )
             for observer in self.on_invocation:
                 observer(invocation)
             self.controller.dispatch(invocation)

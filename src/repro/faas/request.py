@@ -2,16 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
-
-_INVOCATION_IDS = itertools.count(1)
-
-
-def reset_invocation_ids() -> None:
-    """Restart the invocation-id sequence (see ``reset_region_ids``)."""
-    global _INVOCATION_IDS
-    _INVOCATION_IDS = itertools.count(1)
+from dataclasses import dataclass
 
 
 @dataclass
@@ -20,7 +11,8 @@ class Invocation:
 
     function: str
     arrival: float
-    invocation_id: int = field(default_factory=lambda: next(_INVOCATION_IDS))
+    # Issued by the platform from its own sequence, starting at 1.
+    invocation_id: int = 0
     # Set by the controller when this invocation forces a new container.
     cold: bool = False
     # Times this invocation was re-dispatched after its container

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable, Dict, Iterable, Iterator, List, Optional
 
 from repro.errors import MemoryError_
@@ -19,8 +20,11 @@ class AddressSpace:
     touches and frees. It never decides anything.
     """
 
-    def __init__(self, owner: str = "") -> None:
+    def __init__(self, owner: str = "", ids: Optional[Iterator[int]] = None) -> None:
         self.owner = owner
+        # Region-id sequence, shared by every cgroup on a compute node
+        # (a standalone space numbers its own regions from 1).
+        self._ids = ids if ids is not None else itertools.count(1)
         self._regions: Dict[int, PageRegion] = {}
         self._by_segment: Dict[Segment, List[PageRegion]] = {
             segment: [] for segment in Segment
@@ -46,7 +50,13 @@ class AddressSpace:
         ``touched`` mirrors reality: an allocation is normally written
         immediately, which sets its Access bit.
         """
-        region = PageRegion(name=name, segment=segment, pages=pages, allocated_at=now)
+        region = PageRegion(
+            name=name,
+            segment=segment,
+            pages=pages,
+            allocated_at=now,
+            region_id=next(self._ids),
+        )
         if touched:
             region.touch(now)
         self._insert(region)
@@ -54,9 +64,11 @@ class AddressSpace:
             callback(region)
         return region
 
-    def adopt(self, region: PageRegion) -> None:
-        """Insert a region produced by :meth:`PageRegion.split`."""
-        self._insert(region)
+    def split(self, region: PageRegion, pages: int) -> PageRegion:
+        """Carve ``pages`` pages off ``region`` into a new live region."""
+        sibling = region.split(pages, region_id=next(self._ids))
+        self._insert(sibling)
+        return sibling
 
     def free(self, region: PageRegion) -> None:
         """Release a region (e.g. exec scratch at request completion)."""

@@ -28,7 +28,7 @@ class Cgroup:
         self.name = name
         self.node = node
         self._clock = clock
-        self.space = AddressSpace(owner=name)
+        self.space = AddressSpace(owner=name, ids=node.region_ids)
         self.mglru = MultiGenLru()
         # memory.high analogue: while a pressure governor holds the
         # node in a degraded tier it shrinks this below the quota, and

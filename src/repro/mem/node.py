@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -59,6 +60,9 @@ class ComputeNode:
             raise CapacityError(f"capacity must be positive, got {capacity_mib}")
         self.name = name
         self._clock = clock
+        # The node's region-id sequence: every cgroup's address space
+        # draws from it, so a platform's ids start at 1.
+        self.region_ids = itertools.count(1)
         self.capacity_pages = pages_from_mib(capacity_mib)
         self.strict = strict
         self._usage = TimeWeightedAccumulator(start_time=clock(), value=0.0)

@@ -4,33 +4,22 @@ A :class:`PageRegion` stands in for a contiguous run of 4 KiB pages
 whose pages behave identically — same lifecycle segment, same hotness,
 same location (local DRAM or the remote pool). Workload models decide
 region granularity: a region may be a single page or a 100 MiB model
-weight blob. Policies may :meth:`PageRegion.split` a region when they
-need to act on part of it (e.g. gradual semi-warm offload).
+weight blob. Policies may split a region
+(:meth:`~repro.mem.address_space.AddressSpace.split`) when they need to
+act on part of it (e.g. gradual semi-warm offload).
+
+Region ids come from whoever creates the region: an address space
+draws them from its compute node's sequence, so a platform's ids start
+at 1 and depend on nothing else that runs in the process.
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 from typing import Optional
 
 from repro.errors import MemoryError_
 from repro.units import mib_from_pages
-
-_REGION_IDS = itertools.count(1)
-
-
-def reset_region_ids() -> None:
-    """Restart the region-id sequence.
-
-    Region ids only matter for identity and relative order (sorting
-    tiebreaks), both invariant to the counter's starting offset, so a
-    reset never changes simulation behaviour. Platforms reset at
-    construction so that repeated same-seed runs in one process emit
-    byte-identical trace streams.
-    """
-    global _REGION_IDS
-    _REGION_IDS = itertools.count(1)
 
 
 class Segment(enum.Enum):
@@ -52,6 +41,8 @@ class PageRegion:
     """A group of pages with uniform behaviour.
 
     Attributes:
+        region_id: identity and sort tiebreak, unique within the
+            sequence the creator draws from.
         name: human-readable label, e.g. ``"bert/weights"``.
         segment: which lifecycle segment allocated the region.
         pages: number of 4 KiB pages in the region.
@@ -84,10 +75,12 @@ class PageRegion:
         pages: int,
         allocated_at: float = 0.0,
         location: Location = Location.LOCAL,
+        *,
+        region_id: int,
     ) -> None:
         if pages <= 0:
             raise MemoryError_(f"region must have at least one page, got {pages}")
-        self.region_id: int = next(_REGION_IDS)
+        self.region_id = region_id
         self.name = name
         self.segment = segment
         self.pages = int(pages)
@@ -128,12 +121,12 @@ class PageRegion:
         self.accessed = False
         return was_set
 
-    def split(self, pages: int) -> "PageRegion":
-        """Carve ``pages`` pages off into a new region.
+    def split(self, pages: int, region_id: int) -> "PageRegion":
+        """Carve ``pages`` pages off into a new region with ``region_id``.
 
         The new region inherits segment, location and access state;
-        ``self`` shrinks accordingly. Used by gradual offloaders that
-        move a region to the pool a slice at a time.
+        ``self`` shrinks accordingly. Gradual offloaders reach this
+        through :meth:`AddressSpace.split`, which supplies the id.
         """
         if self.freed:
             raise MemoryError_(f"split on freed region {self.name!r}")
@@ -148,6 +141,7 @@ class PageRegion:
             pages=pages,
             allocated_at=self.allocated_at,
             location=self.location,
+            region_id=region_id,
         )
         sibling.accessed = self.accessed
         sibling.last_access = self.last_access

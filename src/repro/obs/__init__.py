@@ -7,25 +7,22 @@
 * :class:`InvariantAuditor` — an online checker of conservation laws
   (page placement exclusivity, swap-flow conservation, barrier
   monotonicity, the container lifecycle DAG, link subscription);
-* :mod:`repro.obs.runtime` — process-wide switches (`enable`,
-  `disable`) that make every subsequently-built platform traced and
-  audited, turning whole experiment suites into standing correctness
-  tests.
+* :mod:`repro.obs.runtime` — the session registry every traced
+  platform reports to. Tracing and auditing are switched on per run
+  through ``PlatformConfig(trace_events=..., audit_events=...)``,
+  which the CLI's ``--audit`` hands to whole experiment suites,
+  turning them into standing correctness tests.
 """
 
 from repro.obs.audit import InvariantAuditor, Violation
 from repro.obs.runtime import (
     ObsSession,
-    audit_enabled,
     audit_report,
     combined_digest,
-    disable,
-    enable,
     register_session,
     reset_sessions,
     sessions,
     total_violations,
-    trace_enabled,
 )
 from repro.obs.trace import EventKind, TraceEvent, Tracer
 
@@ -36,10 +33,6 @@ __all__ = [
     "InvariantAuditor",
     "Violation",
     "ObsSession",
-    "enable",
-    "disable",
-    "trace_enabled",
-    "audit_enabled",
     "register_session",
     "reset_sessions",
     "sessions",

@@ -1,16 +1,11 @@
-"""Process-wide observability switches and the session registry.
+"""The process-wide observability session registry.
 
-Experiment harnesses build :class:`~repro.faas.platform.ServerlessPlatform`
-objects internally, so per-call plumbing cannot reach them. Instead,
-``enable(trace=..., audit=...)`` flips process-wide switches that every
-subsequently-constructed platform consults: when tracing is on it
-builds a :class:`~repro.obs.trace.Tracer`, when auditing is on it
-attaches an :class:`~repro.obs.audit.InvariantAuditor`, and either way
-it registers an :class:`ObsSession` here so the CLI (``--audit``) and
-tests can collect digests and violations after the run.
-
-The switches default to off; with them off the only cost in the
-simulator is a ``tracer is None`` check per hook.
+Every traced :class:`~repro.faas.platform.ServerlessPlatform` (its
+``PlatformConfig`` asked for ``trace_events`` or ``audit_events``, or
+it was handed a tracer) registers an :class:`ObsSession` here, so the
+CLI (``--audit``), the bench harness and tests can collect digests and
+violations after a run. The registry is a result sink, not
+configuration: platforms only ever append to it.
 """
 
 from __future__ import annotations
@@ -32,33 +27,7 @@ class ObsSession:
     auditor: Optional[InvariantAuditor] = None
 
 
-_STATE = {"trace": False, "audit": False, "capacity": 1 << 16}
 _SESSIONS: List[ObsSession] = []
-
-
-def enable(trace: bool = True, audit: bool = True, capacity: int = 1 << 16) -> None:
-    """Turn on tracing (and optionally auditing) for new platforms."""
-    _STATE["trace"] = trace or audit  # auditing needs the event stream
-    _STATE["audit"] = audit
-    _STATE["capacity"] = capacity
-
-
-def disable() -> None:
-    """Turn both switches off (new platforms go back to zero-cost)."""
-    _STATE["trace"] = False
-    _STATE["audit"] = False
-
-
-def trace_enabled() -> bool:
-    return bool(_STATE["trace"])
-
-
-def audit_enabled() -> bool:
-    return bool(_STATE["audit"])
-
-
-def trace_capacity() -> int:
-    return int(_STATE["capacity"])
 
 
 def register_session(session: ObsSession) -> ObsSession:

@@ -188,12 +188,14 @@ def _bench_experiment(
 def _audited_fig12(jobs: int) -> Dict[str, Any]:
     """The pinned audited fig12 smoke: digest + event count + violations."""
     from repro.experiments import fig12_azure_eval
+    from repro.faas import PlatformConfig
     from repro.obs import runtime as obs_runtime
 
     obs_runtime.reset_sessions()
-    obs_runtime.enable(trace=True, audit=True)
     try:
-        fig12_azure_eval.run(**AUDITED_FIG12, jobs=jobs)
+        fig12_azure_eval.run(
+            **AUDITED_FIG12, jobs=jobs, platform_config=PlatformConfig(audit_events=True)
+        )
         sessions = obs_runtime.sessions()
         return {
             "config": {k: str(v) for k, v in AUDITED_FIG12.items()},
@@ -202,7 +204,6 @@ def _audited_fig12(jobs: int) -> Dict[str, Any]:
             "violations": obs_runtime.total_violations(),
         }
     finally:
-        obs_runtime.disable()
         obs_runtime.reset_sessions()
 
 

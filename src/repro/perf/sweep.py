@@ -3,8 +3,9 @@
 Every large experiment in this repo is a grid of *independent* seeded
 simulations — fig12 is loads x systems x benchmarks, tiering sweeps
 the near-tier share, overload sweeps warm-set multipliers. Each point
-builds its own :class:`~repro.faas.platform.ServerlessPlatform` (which
-resets the process-global region/invocation id sequences), so points
+builds its own :class:`~repro.faas.platform.ServerlessPlatform` from
+the :class:`~repro.faas.platform.PlatformConfig` in its kwargs (and
+each platform numbers its own regions and invocations), so points
 share no mutable state and can run in separate processes.
 
 :class:`SweepGrid` is the carved-out abstraction: an ordered list of
@@ -16,12 +17,11 @@ keyed by its grid coordinates) executed either serially in-process
 differential test can assert that serial and parallel execution
 produce byte-identical per-point streams and identical merged rows.
 
-Process-wide runtime switches (``repro.obs`` tracing/auditing, the
-``repro.faults`` / ``repro.pressure`` defaults the CLI installs) are
-snapshotted in the parent and re-installed in every worker, and each
-worker's observability sessions are shipped back and adopted into the
-parent registry in grid order — so ``repro run fig12 --audit --jobs
-4`` reports the same digests and violations as a serial run.
+Nothing is installed in the workers: tracing, auditing, faults and
+pressure all travel inside each point's config. Each worker's
+observability sessions are shipped back and adopted into the parent
+registry in grid order — so ``repro run fig12 --audit --jobs 4``
+reports the same digests and violations as a serial run.
 """
 
 from __future__ import annotations
@@ -114,44 +114,6 @@ class _PointFailure:
     key: Tuple[Any, ...]
     message: str
     traceback: str
-
-
-def _capture_runtime_state() -> Dict[str, Any]:
-    """Snapshot the process-wide switches a worker must inherit."""
-    from repro.faults import runtime as faults_runtime
-    from repro.obs import runtime as obs_runtime
-    from repro.pressure import runtime as pressure_runtime
-
-    return {
-        "trace": obs_runtime.trace_enabled(),
-        "audit": obs_runtime.audit_enabled(),
-        "capacity": obs_runtime.trace_capacity(),
-        "faults": faults_runtime.default_faults(),
-        "pressure": pressure_runtime.default_pressure(),
-    }
-
-
-def _worker_init(state: Dict[str, Any]) -> None:
-    """Install the parent's runtime switches in a fresh worker."""
-    from repro.faults import runtime as faults_runtime
-    from repro.obs import runtime as obs_runtime
-    from repro.pressure import runtime as pressure_runtime
-
-    obs_runtime.reset_sessions()
-    if state["trace"] or state["audit"]:
-        obs_runtime.enable(
-            trace=state["trace"], audit=state["audit"], capacity=state["capacity"]
-        )
-    else:
-        obs_runtime.disable()
-    if state["faults"] is not None:
-        faults_runtime.install(state["faults"])
-    else:
-        faults_runtime.clear()
-    if state["pressure"] is not None:
-        pressure_runtime.install(state["pressure"])
-    else:
-        pressure_runtime.clear()
 
 
 def _snapshot_sessions(sessions: List[Any]) -> List[SessionSnapshot]:
@@ -257,12 +219,9 @@ class SweepGrid:
     def _run_parallel(self, jobs: int) -> List[PointResult]:
         from repro.obs import runtime as obs_runtime
 
-        state = _capture_runtime_state()
         workers = min(jobs, len(self.points))
         results: List[PointResult] = []
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(state,)
-        ) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [pool.submit(_worker_execute, point) for point in self.points]
             for point, future in zip(self.points, futures):
                 try:

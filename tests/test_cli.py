@@ -114,6 +114,14 @@ class TestMain:
         out = capsys.readouterr().out
         assert "no parallel sweep grid" in out
 
+    def test_run_config_on_analytic_experiment_says_so(self, capsys):
+        assert main(["run", "fig09", "--faults", "seed=7,intensity=1"]) == 0
+        assert "[fig09 builds no platform; --faults ignored]" in capsys.readouterr().out
+        assert main(["run", "fig09", "--audit", "--faults", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "[fig09 builds no platform; --audit/--faults ignored]" in out
+        assert "audit: no audited sessions" in out
+
     def test_quick_kwargs_applied(self, capsys):
         # fig15 --quick uses a 300 s trace; just assert it completes fast
         # and prints the table.

@@ -25,10 +25,15 @@ from repro.workloads.profile import RuntimeProfile, UniformInit, WorkloadProfile
 _REPO_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 _DIGEST_SCRIPT = """
-from repro.obs import runtime as obs
-obs.enable(trace=True, audit=False)
 from repro.experiments import fig12_azure_eval
-fig12_azure_eval.run(benchmarks=["web"], loads=("high",), duration=300.0)
+from repro.faas import PlatformConfig
+from repro.obs import runtime as obs
+fig12_azure_eval.run(
+    benchmarks=["web"],
+    loads=("high",),
+    duration=300.0,
+    platform_config=PlatformConfig(trace_events=True),
+)
 print(obs.combined_digest())
 """
 
@@ -54,14 +59,15 @@ class TestTraceDeterminism:
         digests = []
         for _ in range(2):
             obs.reset_sessions()
-            obs.enable(trace=True, audit=False)
             try:
                 fig12_azure_eval.run(
-                    benchmarks=["web"], loads=("high",), duration=300.0
+                    benchmarks=["web"],
+                    loads=("high",),
+                    duration=300.0,
+                    platform_config=PlatformConfig(trace_events=True),
                 )
                 digests.append(obs.combined_digest())
             finally:
-                obs.disable()
                 obs.reset_sessions()
         assert digests[0] == digests[1]
 
@@ -141,27 +147,27 @@ class TestExperimentDeterminism:
 
     def _digest_of(self, runner) -> str:
         obs.reset_sessions()
-        obs.enable(trace=True, audit=False)
         try:
-            runner()
+            runner(PlatformConfig(trace_events=True))
             return obs.combined_digest()
         finally:
-            obs.disable()
             obs.reset_sessions()
 
     def test_pressure_experiment_digest_stable(self):
         from repro.experiments import pressure
 
-        def runner():
-            pressure.run(duration=600.0)
+        def runner(config):
+            pressure.run(duration=600.0, platform_config=config)
 
         assert self._digest_of(runner) == self._digest_of(runner)
 
     def test_node_mixed_experiment_digest_stable(self):
         from repro.experiments import node_mixed
 
-        def runner():
-            node_mixed.run(n_functions=25, duration=900.0, max_functions=15)
+        def runner(config):
+            node_mixed.run(
+                n_functions=25, duration=900.0, max_functions=15, platform_config=config
+            )
 
         assert self._digest_of(runner) == self._digest_of(runner)
 
@@ -169,7 +175,7 @@ class TestExperimentDeterminism:
         """Governor machinery (reclaim, OOM tie-breaks, queues) included."""
         from repro.experiments import overload
 
-        def runner():
-            overload.run(duration=120.0, multipliers=(0.5, 2.0))
+        def runner(config):
+            overload.run(duration=120.0, multipliers=(0.5, 2.0), platform_config=config)
 
         assert self._digest_of(runner) == self._digest_of(runner)

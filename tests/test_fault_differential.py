@@ -1,6 +1,6 @@
 """Zero-fault differential: an empty fault schedule is a provable no-op.
 
-Installing ``FaultSpec(intensity=0)`` attaches a live injector to every
+Configuring ``FaultSpec(intensity=0)`` attaches a live injector to every
 platform, yet the traced event stream must be byte-identical (same
 SHA-256 digest) to a run with no injector at all: the empty schedule
 schedules no events, draws no random numbers, and contributes exact
@@ -9,37 +9,39 @@ float zeros to every page-in.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.baselines import NoOffloadPolicy
 from repro.faults import FaultSpec
-from repro.faults import runtime as faults_runtime
 from repro.obs import runtime as obs
 
 
 def _digest(runner, with_empty_faults: bool) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=False)
-    if with_empty_faults:
-        faults_runtime.install(FaultSpec(intensity=0.0))
+    config = PlatformConfig(
+        trace_events=True,
+        faults=FaultSpec(intensity=0.0) if with_empty_faults else None,
+    )
     try:
-        runner()
+        runner(config)
         return obs.combined_digest()
     finally:
-        faults_runtime.clear()
-        obs.disable()
         obs.reset_sessions()
 
 
-def _run_fig12():
+def _run_fig12(config):
     from repro.experiments import fig12_azure_eval
 
-    fig12_azure_eval.run(benchmarks=["web"], loads=("high",), duration=300.0)
+    fig12_azure_eval.run(
+        benchmarks=["web"], loads=("high",), duration=300.0, platform_config=config
+    )
 
 
-def _run_semiwarm():
+def _run_semiwarm(config):
     from repro.experiments import fig11_semiwarm_overview
 
-    fig11_semiwarm_overview.run(history_duration=3600.0)
+    fig11_semiwarm_overview.run(history_duration=3600.0, platform_config=config)
 
 
 class TestZeroFaultDifferential:
@@ -51,25 +53,18 @@ class TestZeroFaultDifferential:
 
     def test_differential_is_not_vacuous(self):
         """The faulted branch really does attach injectors."""
-        faults_runtime.install(FaultSpec(intensity=0.0))
-        try:
-            platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
-            assert platform.fault_injector is not None
-            assert platform.fault_injector.schedule.empty
-        finally:
-            faults_runtime.clear()
+        platform = ServerlessPlatform(
+            NoOffloadPolicy(), config=PlatformConfig(faults=FaultSpec(intensity=0.0))
+        )
+        assert platform.fault_injector is not None
+        assert platform.fault_injector.schedule.empty
 
     def test_nonempty_schedule_does_change_the_stream(self):
         """Sanity check on the instrument: a real schedule diverges."""
 
-        def faulted():
-            faults_runtime.install(
-                FaultSpec(seed=43, intensity=2.0, horizon_s=300.0,
-                          link_outage_rate_per_h=24.0)
-            )
-            try:
-                _run_fig12()
-            finally:
-                faults_runtime.clear()
+        def faulted(config):
+            spec = FaultSpec(seed=43, intensity=2.0, horizon_s=300.0,
+                             link_outage_rate_per_h=24.0)
+            _run_fig12(replace(config, faults=spec))
 
         assert _digest(_run_fig12, False) != _digest(faulted, False)

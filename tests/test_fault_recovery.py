@@ -21,7 +21,6 @@ from repro.faults import (
     FaultWindow,
     PointFault,
 )
-from repro.faults import runtime as faults_runtime
 from repro.traces.azure import sample_function_trace
 from repro.workloads import get_profile
 
@@ -173,13 +172,27 @@ class TestEmptyScheduleNoOp:
         platform, _ = _platform(None)
         assert platform.fault_injector is None
 
-    def test_runtime_default_reaches_internal_platforms(self):
-        faults_runtime.install(FaultSpec(intensity=0.0))
-        try:
-            platform, _ = _platform(None)
+    def test_runtime_default_reaches_internal_platforms(self, monkeypatch):
+        """An experiment's ``platform_config`` reaches the platforms it builds."""
+        from repro.experiments import fig04_runtime_memory
+
+        built = []
+        init = ServerlessPlatform.__init__
+
+        def recording_init(platform, *args, **kwargs):
+            init(platform, *args, **kwargs)
+            built.append(platform)
+
+        monkeypatch.setattr(ServerlessPlatform, "__init__", recording_init)
+        fig04_runtime_memory.run(
+            platform_config=PlatformConfig(faults=FaultSpec(intensity=0.0))
+        )
+        assert built
+        for platform in built:
             assert platform.fault_injector is not None
             assert platform.fault_injector.schedule.empty
-        finally:
-            faults_runtime.clear()
-        platform, _ = _platform(None)
-        assert platform.fault_injector is None
+        built.clear()
+        fig04_runtime_memory.run()
+        assert built
+        for platform in built:
+            assert platform.fault_injector is None

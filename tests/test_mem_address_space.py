@@ -36,8 +36,7 @@ class TestAllocate:
         seen = []
         space.on_alloc.append(seen.append)
         r = space.allocate("a", Segment.INIT, 10, now=0.0)
-        sibling = r.split(4)
-        space.adopt(sibling)
+        sibling = space.split(r, 4)
         assert seen == [r]
         assert space.total_pages == 10  # conserved
 
@@ -51,7 +50,7 @@ class TestFree:
         assert space.total_pages == 0
 
     def test_free_unknown_rejected(self, space):
-        foreign = PageRegion("x", Segment.INIT, 1)
+        foreign = PageRegion("x", Segment.INIT, 1, region_id=1)
         with pytest.raises(MemoryError_):
             space.free(foreign)
 
@@ -87,7 +86,7 @@ class TestTouch:
         assert r.access_count == 2  # alloc + touch
 
     def test_touch_unknown_rejected(self, space):
-        foreign = PageRegion("x", Segment.INIT, 1)
+        foreign = PageRegion("x", Segment.INIT, 1, region_id=1)
         with pytest.raises(MemoryError_):
             space.touch(foreign, now=0.0)
 
@@ -104,8 +103,7 @@ class TestQueries:
 
     def test_find_by_name(self, space):
         a = space.allocate("weights", Segment.INIT, 4, now=0.0)
-        sibling = a.split(1)
-        space.adopt(sibling)
+        sibling = space.split(a, 1)
         assert set(space.find("weights")) == {a, sibling}
         assert space.find("weights", Segment.RUNTIME) == []
 

@@ -1,14 +1,18 @@
 """Unit tests for the multi-generational LRU."""
 
+import itertools
+
 import pytest
 
 from repro.errors import MemoryError_
 from repro.mem.mglru import MultiGenLru
 from repro.mem.page import PageRegion, Segment
 
+_IDS = itertools.count(1)
+
 
 def region(pages=4, name="r"):
-    return PageRegion(name=name, segment=Segment.INIT, pages=pages)
+    return PageRegion(name=name, segment=Segment.INIT, pages=pages, region_id=next(_IDS))
 
 
 @pytest.fixture

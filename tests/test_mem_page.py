@@ -1,14 +1,19 @@
 """Unit tests for page regions."""
 
+import itertools
+
 import pytest
 from hypothesis import given, strategies as st
 
 from repro.errors import MemoryError_
+from repro.mem.address_space import AddressSpace
 from repro.mem.page import Location, PageRegion, Segment
+
+_IDS = itertools.count(1)
 
 
 def region(pages=10, segment=Segment.INIT, name="r"):
-    return PageRegion(name=name, segment=segment, pages=pages)
+    return PageRegion(name=name, segment=segment, pages=pages, region_id=next(_IDS))
 
 
 class TestConstruction:
@@ -27,7 +32,11 @@ class TestConstruction:
             region(pages=-5)
 
     def test_unique_ids(self):
-        assert region().region_id != region().region_id
+        space = AddressSpace()
+        a = space.allocate("a", Segment.INIT, 2, now=0.0)
+        b = space.allocate("b", Segment.INIT, 1, now=0.0)
+        sibling = space.split(a, 1)
+        assert len({a.region_id, b.region_id, sibling.region_id}) == 3
 
     def test_mib_property(self):
         assert region(pages=256).mib == 1.0
@@ -58,7 +67,7 @@ class TestTouch:
 class TestSplit:
     def test_split_conserves_pages(self):
         r = region(pages=10)
-        sibling = r.split(3)
+        sibling = r.split(3, next(_IDS))
         assert r.pages == 7
         assert sibling.pages == 3
 
@@ -66,7 +75,7 @@ class TestSplit:
         r = region(pages=10)
         r.touch(2.0)
         r.location = Location.REMOTE
-        sibling = r.split(4)
+        sibling = r.split(4, next(_IDS))
         assert sibling.segment is r.segment
         assert sibling.location is Location.REMOTE
         assert sibling.accessed
@@ -75,17 +84,17 @@ class TestSplit:
 
     def test_split_whole_region_rejected(self):
         with pytest.raises(MemoryError_):
-            region(pages=5).split(5)
+            region(pages=5).split(5, next(_IDS))
 
     def test_split_zero_rejected(self):
         with pytest.raises(MemoryError_):
-            region(pages=5).split(0)
+            region(pages=5).split(0, next(_IDS))
 
     def test_split_freed_rejected(self):
         r = region()
         r.mark_freed()
         with pytest.raises(MemoryError_):
-            r.split(1)
+            r.split(1, next(_IDS))
 
     @given(
         total=st.integers(min_value=2, max_value=10**6),
@@ -94,7 +103,7 @@ class TestSplit:
     def test_split_always_conserves(self, total, data):
         take = data.draw(st.integers(min_value=1, max_value=total - 1))
         r = region(pages=total)
-        sibling = r.split(take)
+        sibling = r.split(take, next(_IDS))
         assert r.pages + sibling.pages == total
         assert r.pages > 0 and sibling.pages > 0
 

@@ -9,18 +9,17 @@ and compare the evidence.
 
 from __future__ import annotations
 
+from repro.faas import PlatformConfig
 from repro.obs import runtime as obs
 
 
 def _audited(runner):
     """Run under trace+audit; return (combined digest, rows, violations)."""
     obs.reset_sessions()
-    obs.enable(trace=True, audit=True)
     try:
-        result = runner()
+        result = runner(PlatformConfig(audit_events=True))
         return obs.combined_digest(), result.rows, obs.total_violations()
     finally:
-        obs.disable()
         obs.reset_sessions()
 
 
@@ -37,11 +36,12 @@ class TestParallelDifferential:
         from repro.experiments import fig12_azure_eval
 
         def make_runner(jobs):
-            return lambda: fig12_azure_eval.run(
+            return lambda config: fig12_azure_eval.run(
                 benchmarks=["web", "bert"],
                 loads=("high",),
                 duration=200.0,
                 jobs=jobs,
+                platform_config=config,
             )
 
         _assert_parallel_matches_serial(make_runner)
@@ -50,8 +50,8 @@ class TestParallelDifferential:
         from repro.experiments import fig11_semiwarm_overview
 
         def make_runner(jobs):
-            return lambda: fig11_semiwarm_overview.run(
-                history_duration=3600.0, jobs=jobs
+            return lambda config: fig11_semiwarm_overview.run(
+                history_duration=3600.0, jobs=jobs, platform_config=config
             )
 
         _assert_parallel_matches_serial(make_runner)
@@ -60,8 +60,8 @@ class TestParallelDifferential:
         from repro.experiments import tiering
 
         def make_runner(jobs):
-            return lambda: tiering.run(
-                duration=150.0, near_shares=(0.25,), jobs=jobs
+            return lambda config: tiering.run(
+                duration=150.0, near_shares=(0.25,), jobs=jobs, platform_config=config
             )
 
         _assert_parallel_matches_serial(make_runner)
@@ -70,8 +70,8 @@ class TestParallelDifferential:
         from repro.experiments import overload
 
         def make_runner(jobs):
-            return lambda: overload.run(
-                duration=120.0, multipliers=(0.5, 2.0), jobs=jobs
+            return lambda config: overload.run(
+                duration=120.0, multipliers=(0.5, 2.0), jobs=jobs, platform_config=config
             )
 
         _assert_parallel_matches_serial(make_runner)
@@ -80,8 +80,8 @@ class TestParallelDifferential:
         from repro.experiments import chaos
 
         def make_runner(jobs):
-            return lambda: chaos.run(
-                duration=240.0, intensities=(0.0, 1.0), jobs=jobs
+            return lambda config: chaos.run(
+                duration=240.0, intensities=(0.0, 1.0), jobs=jobs, platform_config=config
             )
 
         _assert_parallel_matches_serial(make_runner)

@@ -101,7 +101,6 @@ class TestSweepGrid:
 class TestSessionAdoption:
     def _run(self, jobs):
         obs.reset_sessions()
-        obs.enable(trace=True, audit=False)
         try:
             grid = SweepGrid(
                 "traced",
@@ -118,7 +117,6 @@ class TestSessionAdoption:
             sessions = obs.sessions()
             return results, sessions, obs.combined_digest()
         finally:
-            obs.disable()
             obs.reset_sessions()
 
     def test_parallel_adopts_sessions_in_grid_order(self):

@@ -1,6 +1,6 @@
 """Inert-governor differential: a disabled governor is a provable no-op.
 
-Installing a :class:`PressureConfig` with all watermark fractions at 0
+Configuring a :class:`PressureConfig` with all watermark fractions at 0
 attaches a live governor to every platform, yet the traced event
 stream must be byte-identical (same SHA-256 digest) to a run with no
 governor at all: zero watermarks mean the free-page checks can never
@@ -10,39 +10,41 @@ NORMAL, and no random numbers are drawn.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 from repro.baselines import NoOffloadPolicy
 from repro.faas import PlatformConfig, ServerlessPlatform
 from repro.obs import runtime as obs
 from repro.pressure import DegradationTier, PressureConfig
-from repro.pressure import runtime as pressure_runtime
 
 _INERT = dict(min_watermark_frac=0.0, low_watermark_frac=0.0, high_watermark_frac=0.0)
 
 
 def _digest(runner, with_inert_governor: bool) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=False)
-    if with_inert_governor:
-        pressure_runtime.install(PressureConfig(**_INERT))
+    config = PlatformConfig(
+        trace_events=True,
+        pressure=PressureConfig(**_INERT) if with_inert_governor else None,
+    )
     try:
-        runner()
+        runner(config)
         return obs.combined_digest()
     finally:
-        pressure_runtime.clear()
-        obs.disable()
         obs.reset_sessions()
 
 
-def _run_fig12():
+def _run_fig12(config):
     from repro.experiments import fig12_azure_eval
 
-    fig12_azure_eval.run(benchmarks=["web"], loads=("high",), duration=300.0)
+    fig12_azure_eval.run(
+        benchmarks=["web"], loads=("high",), duration=300.0, platform_config=config
+    )
 
 
-def _run_semiwarm():
+def _run_semiwarm(config):
     from repro.experiments import fig11_semiwarm_overview
 
-    fig11_semiwarm_overview.run(history_duration=3600.0)
+    fig11_semiwarm_overview.run(history_duration=3600.0, platform_config=config)
 
 
 class TestInertGovernorDifferential:
@@ -54,15 +56,13 @@ class TestInertGovernorDifferential:
 
     def test_differential_is_not_vacuous(self):
         """The governed branch really does attach a governor."""
-        pressure_runtime.install(PressureConfig(**_INERT))
-        try:
-            platform = ServerlessPlatform(NoOffloadPolicy(), config=PlatformConfig())
-            assert platform.governor is not None
-            assert not platform.governor.enforcing
-            assert platform.governor.tier is DegradationTier.NORMAL
-            assert platform.node.watermarks is not None
-        finally:
-            pressure_runtime.clear()
+        platform = ServerlessPlatform(
+            NoOffloadPolicy(), config=PlatformConfig(pressure=PressureConfig(**_INERT))
+        )
+        assert platform.governor is not None
+        assert not platform.governor.enforcing
+        assert platform.governor.tier is DegradationTier.NORMAL
+        assert platform.node.watermarks is not None
 
     def test_enforcing_governor_does_change_the_stream(self):
         """Sanity check on the instrument: real watermarks diverge.
@@ -74,19 +74,19 @@ class TestInertGovernorDifferential:
         from repro.workloads import get_profile
 
         def run_tight(governed: bool):
-            def runner():
-                if governed:
-                    pressure_runtime.install(PressureConfig())
-                try:
-                    platform = ServerlessPlatform(
-                        NoOffloadPolicy(),
-                        config=PlatformConfig(seed=7, node_capacity_mib=600.0),
-                    )
-                    platform.register_function("web", get_profile("web"))
-                    platform.register_function("web-b", get_profile("web"))
-                    platform.run_trace([(0.0, "web"), (40.0, "web-b")])
-                finally:
-                    pressure_runtime.clear()
+            def runner(config):
+                platform = ServerlessPlatform(
+                    NoOffloadPolicy(),
+                    config=replace(
+                        config,
+                        seed=7,
+                        node_capacity_mib=600.0,
+                        pressure=PressureConfig() if governed else None,
+                    ),
+                )
+                platform.register_function("web", get_profile("web"))
+                platform.register_function("web-b", get_profile("web"))
+                platform.run_trace([(0.0, "web"), (40.0, "web-b")])
 
             return runner
 

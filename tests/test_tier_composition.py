@@ -157,9 +157,8 @@ class TestGovernorComposition:
             total_capacity_mib=1024.0, near_share=0.01, near_shards=1
         )
         obs.reset_sessions()
-        obs.enable(trace=True, audit=False)
         try:
-            platform, trace = _platform(topology, duration=600.0)
+            platform, trace = _platform(topology, duration=600.0, trace_events=True)
             platform.run_trace((t, "web") for t in trace.timestamps)
             spills = [
                 e for e in platform.tracer.events if e.kind == "tier.spill"
@@ -169,5 +168,4 @@ class TestGovernorComposition:
                 e.data["to_tier"] == e.data["from_tier"] + 1 for e in spills
             )
         finally:
-            obs.disable()
             obs.reset_sessions()

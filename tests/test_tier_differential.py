@@ -28,37 +28,37 @@ OVERLOAD_DIGEST = "3c59af064d96a785886fa2e1719482cf0fbbeb939342304f95db49f10a703
 
 def _digest(runner) -> str:
     obs.reset_sessions()
-    obs.enable(trace=True, audit=False)
     try:
-        runner()
+        runner(PlatformConfig(trace_events=True))
         return obs.combined_digest()
     finally:
-        obs.disable()
         obs.reset_sessions()
 
 
-def _run_fig12():
+def _run_fig12(config):
     from repro.experiments import fig12_azure_eval
 
-    fig12_azure_eval.run(benchmarks=["web"], loads=("high",), duration=300.0)
+    fig12_azure_eval.run(
+        benchmarks=["web"], loads=("high",), duration=300.0, platform_config=config
+    )
 
 
-def _run_semiwarm():
+def _run_semiwarm(config):
     from repro.experiments import fig11_semiwarm_overview
 
-    fig11_semiwarm_overview.run(history_duration=3600.0)
+    fig11_semiwarm_overview.run(history_duration=3600.0, platform_config=config)
 
 
-def _run_chaos():
+def _run_chaos(config):
     from repro.experiments import chaos
 
-    chaos.run(duration=600.0, intensities=(0.0, 2.0))
+    chaos.run(duration=600.0, intensities=(0.0, 2.0), platform_config=config)
 
 
-def _run_overload():
+def _run_overload(config):
     from repro.experiments import overload
 
-    overload.run(duration=240.0, multipliers=(0.5, 1.5, 3.0))
+    overload.run(duration=240.0, multipliers=(0.5, 1.5, 3.0), platform_config=config)
 
 
 def _web_platform(tiers) -> ServerlessPlatform:

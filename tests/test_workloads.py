@@ -124,7 +124,9 @@ class _FakeCgroup:
     def allocate(self, name, segment, pages):
         from repro.mem.page import PageRegion
 
-        region = PageRegion(name=name, segment=segment, pages=pages)
+        region = PageRegion(
+            name=name, segment=segment, pages=pages, region_id=len(self.regions) + 1
+        )
         self.regions.append(region)
         return region
 
