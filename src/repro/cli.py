@@ -5,7 +5,6 @@ Usage::
     python -m repro list
     python -m repro run fig12 [--json out.json] [--quick] [--jobs 4]
     python -m repro run all --quick
-    python -m repro bench --quick [--profile 15]
 """
 
 from __future__ import annotations
@@ -113,52 +112,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="print the last N buffered events per session",
     )
-    bench = sub.add_parser(
-        "bench",
-        help="wall-clock benchmark harness; writes BENCH_perf.json",
-    )
-    bench.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced-scale bench (CI smoke scale)",
-    )
-    bench.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the parallel sweep measurements "
-        "(0 = one per CPU; default $REPRO_JOBS or 1)",
-    )
-    bench.add_argument(
-        "--out",
-        default="BENCH_perf.json",
-        metavar="PATH",
-        help="where to write the bench record (default: BENCH_perf.json)",
-    )
-    bench.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="baseline BENCH_perf.json to compare against "
-        "(default: the --out path, when it already exists)",
-    )
-    bench.add_argument(
-        "--profile",
-        nargs="?",
-        const=15,
-        type=int,
-        default=0,
-        metavar="N",
-        help="cProfile the serial fig12 smoke and report the top-N "
-        "cumulative hot spots (default N: 15)",
-    )
-    bench.add_argument(
-        "--no-digest-check",
-        action="store_true",
-        help="do not fail when the audited fig12 smoke digest differs "
-        "from the baseline record",
-    )
     return parser
 
 
@@ -256,25 +209,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
     if args.command == "trace":
         return _trace_command(args)
-    if args.command == "bench":
-        from repro.perf.bench import render_bench, run_bench
-
-        result = run_bench(
-            quick=args.quick,
-            jobs=args.jobs,
-            profile_top=args.profile,
-            out_path=args.out,
-            baseline_path=args.baseline,
-        )
-        print(render_bench(result))
-        baseline = result.get("baseline")
-        if baseline and not baseline["digest_match"] and not args.no_digest_check:
-            print(
-                "bench: audited fig12 smoke digest changed vs baseline",
-                file=sys.stderr,
-            )
-            return 1
-        return 0
     # --audit and --faults make one run configuration, handed to every
     # experiment that builds platforms.
     platform_config = None

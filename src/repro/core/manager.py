@@ -167,6 +167,10 @@ class FaaSMemPolicy(OffloadPolicy):
             delay = self.profiler.semiwarm_start_timing(container.function.name)
             ctl.semiwarm.schedule(delay)
 
+    def memory_state(self, container_id: str) -> Optional[ContainerMemoryState]:
+        ctl = self._ctl.get(container_id)
+        return ctl.state if ctl is not None else None
+
     def on_container_reclaimed(self, container) -> None:
         ctl = self._ctl.pop(container.container_id, None)
         if ctl is None:

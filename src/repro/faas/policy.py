@@ -9,9 +9,10 @@ implementations, so experiments can swap them freely.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Optional
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.pucket import ContainerMemoryState
     from repro.faas.container import Container
     from repro.faas.platform import ServerlessPlatform
     from repro.faas.request import RequestRecord
@@ -72,3 +73,15 @@ class OffloadPolicy:
         self, container: "Container", record: "RequestRecord"
     ) -> None:
         """A request finished; ``record`` holds its timings."""
+
+    # -- introspection -------------------------------------------------------
+
+    def memory_state(self, container_id: str) -> Optional["ContainerMemoryState"]:
+        """The live container's Pucket state, or None without one.
+
+        The pressure governor orders its offload candidates by it and
+        the invariant auditor checks it at the end of a run. Only
+        FaaSMem segregates memory into Puckets; every other policy
+        keeps the default.
+        """
+        return None

@@ -615,15 +615,11 @@ class InvariantAuditor:
             )
 
     def _snapshot_policy_states(self, platform: Any, now: float) -> None:
-        """Direct exclusivity scan of live Pucket state (FaaSMem only)."""
-        ctls = getattr(platform.policy, "_ctl", None)
-        if not isinstance(ctls, dict):
-            return
-        for container_id, ctl in ctls.items():
-            state = getattr(ctl, "state", None)
-            if state is None:
-                continue
-            self.check_memory_state(state, subject=container_id, now=now)
+        """Direct exclusivity scan of every live container's Pucket state."""
+        for container in platform.controller.all_containers():
+            state = platform.policy.memory_state(container.container_id)
+            if state is not None:
+                self.check_memory_state(state, subject=container.container_id, now=now)
 
     def check_memory_state(self, state: Any, subject: str = "", now: float = 0.0) -> None:
         """Assert one ContainerMemoryState keeps its sets disjoint."""

@@ -3,8 +3,8 @@
 Every traced :class:`~repro.faas.platform.ServerlessPlatform` (its
 ``PlatformConfig`` asked for ``trace_events`` or ``audit_events``, or
 it was handed a tracer) registers an :class:`ObsSession` here, so the
-CLI (``--audit``), the bench harness and tests can collect digests and
-violations after a run. The registry is a result sink, not
+CLI (``--audit``) and tests can collect digests and violations after a
+run. The registry is a result sink, not
 configuration: platforms only ever append to it.
 """
 
@@ -98,15 +98,6 @@ def sessions() -> List[ObsSession]:
 
 def reset_sessions() -> None:
     _SESSIONS.clear()
-
-
-def trim_sessions(count: int) -> None:
-    """Drop sessions registered after the first ``count``.
-
-    Lets a caller (e.g. the bench harness) run audited platforms
-    without leaking their sessions into an enclosing registry scope.
-    """
-    del _SESSIONS[count:]
 
 
 def combined_digest() -> str:

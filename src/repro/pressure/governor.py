@@ -401,7 +401,7 @@ class MemoryPressureGovernor:
         for container in self._idle_containers():
             if budget <= 0:
                 break
-            state = self._policy_state(container)
+            state = self.platform.policy.memory_state(container.container_id)
             victims: List["PageRegion"] = []
             for region in ordered_offload_candidates(container.cgroup, state):
                 if budget <= 0:
@@ -446,7 +446,7 @@ class MemoryPressureGovernor:
         for container in self._writeback_order(protect):
             if freed >= needed_pages:
                 break
-            state = self._policy_state(container)
+            state = self.platform.policy.memory_state(container.container_id)
             victims: List["PageRegion"] = []
             remaining = needed_pages - freed
             for region in ordered_offload_candidates(container.cgroup, state):
@@ -485,13 +485,6 @@ class MemoryPressureGovernor:
         idle.sort(key=lambda c: (c.idle_since or 0.0, c.container_id))
         busy.sort(key=lambda c: (c.created_at, c.container_id))
         return idle + busy
-
-    def _policy_state(self, container: "Container"):
-        ctls = getattr(self.platform.policy, "_ctl", None)
-        if not isinstance(ctls, dict):
-            return None
-        ctl = ctls.get(container.container_id)
-        return getattr(ctl, "state", None)
 
     # ------------------------------------------------------------------
     # OOM containment

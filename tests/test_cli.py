@@ -41,13 +41,11 @@ class TestParser:
         assert build_parser().parse_args(["run", "fig12"]).jobs is None
 
     def test_bench_command_flags(self):
-        args = build_parser().parse_args(
-            ["bench", "--quick", "--jobs", "2", "--out", "b.json", "--profile"]
-        )
-        assert args.command == "bench"
-        assert args.quick and args.jobs == 2 and args.out == "b.json"
-        assert args.profile == 15  # bare --profile defaults to top 15
-        assert build_parser().parse_args(["bench"]).profile == 0
+        """``bench`` and its flags are gone: perfbench/run.py is the benchmark."""
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench"])
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["bench", "--quick", "--jobs", "2"])
 
 
 class TestMain:

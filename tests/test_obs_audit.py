@@ -230,18 +230,34 @@ class TestReporting:
 
 
 class TestFinalize:
-    def test_finalize_cross_checks_platform(self):
+    def test_finalize_cross_checks_platform(self, monkeypatch):
         from repro.core.manager import FaaSMemPolicy
         from repro.faas import PlatformConfig, ServerlessPlatform
         from repro.workloads import get_profile
 
+        policy = FaaSMemPolicy()
         platform = ServerlessPlatform(
-            FaaSMemPolicy(), config=PlatformConfig(seed=5, audit_events=True)
+            policy, config=PlatformConfig(seed=5, audit_events=True)
         )
         platform.register_function("web", get_profile("web"))
         for i in range(4):
             platform.submit("web", at_time=i * 30.0)
+        # Mid-run the containers are alive: finalize scans the Pucket
+        # state the policy reports for each of them.
+        platform.engine.run(until=100.0)
+        live = [c.container_id for c in platform.controller.all_containers()]
+        scanned = []
+        check = platform.auditor.check_memory_state
+
+        def recording(state, subject="", now=0.0):
+            scanned.append(subject)
+            check(state, subject=subject, now=now)
+
+        monkeypatch.setattr(platform.auditor, "check_memory_state", recording)
+        platform.auditor.finalize(platform)
+        assert live and scanned == live
         platform.run()  # run() calls auditor.finalize()
+        assert all(policy.memory_state(cid) is None for cid in live)
         assert platform.auditor._finalized
         assert platform.auditor.clean, platform.auditor.report()
         assert platform.auditor.checks > 0

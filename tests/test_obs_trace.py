@@ -83,20 +83,41 @@ class TestEmitHotPath:
     """Regressions for the optimized emit path: same bytes, same digest."""
 
     def test_digest_matches_per_event_reference(self):
-        """Batched hashing must equal one SHA-256 update per line."""
+        """Batched hashing must equal one SHA-256 update per line.
+
+        Each reference line is built from the event's fields, as the
+        pre-optimization emit path serialized it, not from the
+        optimized code's own encoding. Subscribers must see the same
+        events.
+        """
         import hashlib
+        from fractions import Fraction
 
         _, tracer = make_tracer()
+        seen = []
+        tracer.subscribe(seen.append)
         for i in range(200):
             if i % 3:
                 tracer.emit(EventKind.ENGINE_EVENT, "exec")
             else:
                 tracer.emit(EventKind.RECALL, f"cg-{i}", region=i, pages=8)
-        reference = hashlib.sha256()
+        # Not JSON-native: serialized through json.dumps(default=str).
+        tracer.emit(EventKind.RECALL, "cg-x", share=Fraction(1, 3), pages=2)
+        reference = []
         for event in tracer.snapshot():
-            reference.update(event.line().encode("utf-8"))
-            reference.update(b"\n")
-        assert tracer.digest() == reference.hexdigest()
+            payload = json.dumps(
+                event.data, sort_keys=True, separators=(",", ":"), default=str
+            )
+            reference.append(
+                f"{event.seq}|{event.time!r}|{event.kind}|{event.subject}|{payload}"
+            )
+        assert reference[-1].endswith('|{"pages":2,"share":"1/3"}')
+        expected = hashlib.sha256()
+        for line in reference:
+            expected.update(line.encode("utf-8"))
+            expected.update(b"\n")
+        assert tracer.digest() == expected.hexdigest()
+        assert [event.line() for event in seen] == reference
 
     def test_digest_mid_stream_then_more_events(self):
         """Reading the digest early must not perturb the final digest."""

@@ -7,7 +7,8 @@ one-tier run must still emit exactly that stream: pool name
 ``mempool-0``, an unnamed link subject, no ``tier.*`` events, no
 demotion daemon and no extra random draws. The four runs cover fig12
 and fig11 traffic, pool-node crashes (chaos) and synchronous governor
-write-back (overload).
+write-back (overload). fig12 runs audited: the auditor only reads the
+stream, so the digest is the traced one, with no violations.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ FIG12_DIGEST = "ea7e6dfbf0a8aa97504ac75bf02f4b43844cc38f4ef27aef2a8ae172ca5b54a7
 FIG11_DIGEST = "4f1a91f207a209520e0fd2d3e9936f6c61756ad65ee13629e4bd1a7ab983b951"
 CHAOS_DIGEST = "43ee99be8ef47593b9dc90095c0959ad5001ad79ab004d3a823aaec1076435ee"
 OVERLOAD_DIGEST = "3c59af064d96a785886fa2e1719482cf0fbbeb939342304f95db49f10a703155"
+FIG12_EVENTS = 2714
 
 
 def _digest(runner) -> str:
@@ -76,7 +78,17 @@ def _web_platform(tiers) -> ServerlessPlatform:
 
 class TestDegenerateHierarchyDifferential:
     def test_fig12_digest_identical(self):
-        assert _digest(_run_fig12) == FIG12_DIGEST
+        """Audited: auditing reads the stream and must not change it."""
+        obs.reset_sessions()
+        try:
+            _run_fig12(PlatformConfig(audit_events=True))
+            sessions = obs.sessions()
+            assert sessions and all(s.auditor is not None for s in sessions)
+            assert obs.combined_digest() == FIG12_DIGEST
+            assert sum(s.tracer.emitted for s in sessions) == FIG12_EVENTS
+            assert obs.total_violations() == 0
+        finally:
+            obs.reset_sessions()
 
     def test_semiwarm_digest_identical(self):
         assert _digest(_run_semiwarm) == FIG11_DIGEST
